@@ -212,9 +212,12 @@ def lint_source(
     raise ``ValueError`` — those are caller bugs, not program defects."""
     try:
         program = parse_program(source)
-    except ViperSyntaxError as error:
+    except (ViperSyntaxError, RecursionError) as error:
         return LintResult(error=wrap_exception("parse", error).diagnostic)
-    findings = analyze_program(program)
+    try:
+        findings = analyze_program(program)
+    except RecursionError as error:
+        return LintResult(error=wrap_exception("analyze", error).diagnostic)
     findings, suppressed = apply_suppressions(findings, source)
     findings = select_findings(findings, select, ignore)
     if error_on_warn:

@@ -1,7 +1,9 @@
 """Desugaring of Boogie's polymorphic maps (Sec. 4.4).
 
-Trust: **untrusted-but-checked** — desugaring convenience used by the
-translator side; the kernel sees only its re-parsed output.
+Trust: **untrusted-but-checked** — a standalone rendering of the paper's
+map adjustment; no pipeline stage calls it (the translator emits the
+function-based form directly), and the kernel would see only its
+re-parsed output.
 
 Boogie's polymorphic map types (e.g. ``<T>[Ref, Field T]T``) are
 *impredicative* — a map admits any value as key, including itself — and have

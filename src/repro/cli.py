@@ -674,57 +674,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if report["outcomes"]["errors"] == 0 else 1
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """`cluster route` / `cluster chaos`: the scale-out layer."""
-    if args.cluster_command == "route":
-        from .cluster import RouterConfig, run_router
-
-        config = RouterConfig(
-            host=args.host,
-            port=args.port,
-            nodes=args.node,
-            replication=args.replication,
-            max_in_flight=args.max_in_flight,
-            request_timeout=args.request_timeout,
-            probe_interval=args.probe_interval,
-            hedge_delay_floor=args.hedge_floor,
-            retries=args.retries,
-            quiet=False,
-            trace_dir=args.trace_dir,
-            trace_sample=args.trace_sample,
-        )
-        return run_router(config)
-
-    from .cluster.chaos import ChaosConfig, run_chaos, summarise
-
-    config = ChaosConfig(
-        nodes=args.nodes,
-        replication=args.replication,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        suite=args.suite,
-        fault=args.fault,
-        fault_node=args.fault_node,
-        fault_after=args.fault_after,
-        measure_overhead=not args.no_overhead,
-        jobs_per_node=args.jobs_per_node,
-        report_path=args.report,
-        quiet=args.json == "-",
-    )
-    report = run_chaos(config)
-    if args.json is not None:
-        payload = json.dumps(report, indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {args.json}")
-    if args.json != "-":
-        print(summarise(report))
-    return 0 if report["ok"] else 1
-
-
 def _version() -> str:
     """The package version.
 
@@ -972,74 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--json", nargs="?", const="-", metavar="PATH",
                          help="print the full JSON report to stdout "
                               "(or write it to PATH)")
-    cluster = sub.add_parser("cluster",
-                             help="scale-out: the sharding router and the "
-                                  "fault-injection harness")
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-    route = cluster_sub.add_parser(
-        "route", help="run the sharding router in front of N serve nodes"
-    )
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=8420,
-                       help="router listen port (default: 8420)")
-    route.add_argument("--node", action="append", required=True,
-                       metavar="[NAME=]HOST:PORT",
-                       help="an upstream node (repeat per node)")
-    route.add_argument("--replication", "-r", type=int, default=2, metavar="R",
-                       help="ring owners per key (default: 2)")
-    route.add_argument("--max-in-flight", type=int, default=32, metavar="N",
-                       help="per-node in-flight bound before spilling to a "
-                            "replica (default: 32)")
-    route.add_argument("--request-timeout", type=float, default=120.0,
-                       metavar="SECONDS",
-                       help="per-proxied-request deadline (default: 120)")
-    route.add_argument("--probe-interval", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="health probe cadence (default: 0.25)")
-    route.add_argument("--hedge-floor", type=float, default=0.02,
-                       metavar="SECONDS",
-                       help="minimum hedge delay; the actual delay is "
-                            "max(floor, 1.5 × node p95) (default: 0.02)")
-    route.add_argument("--retries", type=int, default=2, metavar="N",
-                       help="same-node retries with backoff when no replica "
-                            "remains (default: 2)")
-    route.add_argument("--trace-dir", metavar="DIR",
-                       help="persist router request traces here (spans "
-                            "cover the router→node hop)")
-    route.add_argument("--trace-sample", type=int, default=10, metavar="N",
-                       help="keep the N slowest routed traces (default: 10)")
-    chaos = cluster_sub.add_parser(
-        "chaos",
-        help="start nodes + router, inject a fault under load, report",
-    )
-    chaos.add_argument("--nodes", type=int, default=3, metavar="N",
-                       help="cluster size (default: 3)")
-    chaos.add_argument("--replication", "-r", type=int, default=2, metavar="R",
-                       help="ring owners per key (default: 2)")
-    chaos.add_argument("--requests", "-n", type=int, default=50, metavar="N",
-                       help="requests through the router (default: 50)")
-    chaos.add_argument("--concurrency", "-c", type=int, default=8, metavar="N",
-                       help="client threads (default: 8)")
-    chaos.add_argument("--suite", default="Viper",
-                       choices=["Viper", "Gobra", "VerCors", "MPP"],
-                       help="replay corpus suite (default: Viper)")
-    chaos.add_argument("--fault", default="kill",
-                       choices=["kill", "stall", "corrupt", "none"],
-                       help="the fault to inject mid-run (default: kill)")
-    chaos.add_argument("--fault-node", type=int, default=0, metavar="I",
-                       help="index of the node to fault (default: 0)")
-    chaos.add_argument("--fault-after", type=float, default=0.3, metavar="F",
-                       help="inject after this fraction of the run has been "
-                            "proxied (default: 0.3)")
-    chaos.add_argument("--jobs-per-node", type=int, default=1, metavar="N",
-                       help="worker processes per node (default: 1)")
-    chaos.add_argument("--no-overhead", action="store_true",
-                       help="skip the router-vs-direct p50 overhead phase")
-    chaos.add_argument("--report", metavar="PATH",
-                       help="write the JSON chaos report here")
-    chaos.add_argument("--json", nargs="?", const="-", metavar="PATH",
-                       help="print the full JSON report to stdout "
-                            "(or write it to PATH)")
     trace = sub.add_parser("trace", help="inspect exported request traces")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_summarize = trace_sub.add_parser(
@@ -1165,7 +1046,6 @@ def main(argv: Optional[list] = None) -> int:
         "fuzz": cmd_fuzz,
         "serve": cmd_serve,
         "loadgen": cmd_loadgen,
-        "cluster": cmd_cluster,
         "trace": cmd_trace,
         "perf": cmd_perf,
         "tcb": cmd_tcb,

@@ -159,6 +159,15 @@ _STAGE_ERROR_CLASS = {
 
 _LINE_COL_RE = re.compile(r"^(\d+):(\d+):")
 
+#: The stable code, message and hint for an input too deeply nested for
+#: the recursive AST walkers (a ``RecursionError`` in any stage).
+_DEPTH_LIMIT_CODE = "LIM001"
+_DEPTH_LIMIT_MESSAGE = "program nesting exceeds the supported depth"
+_DEPTH_LIMIT_HINT = (
+    "split long expressions (e.g. a sum of hundreds of terms) into "
+    "intermediate assignments, and reduce parenthesis nesting"
+)
+
 
 def _location_of(error: BaseException) -> Optional[SourceLocation]:
     """Extract a source location from a substrate exception, if it has one."""
@@ -179,6 +188,13 @@ def wrap_exception(stage: str, error: BaseException) -> PipelineError:
     location (when available), and the stage's recovery hint; the original
     exception is preserved for ``raise ... from``.
     """
+    error_class: Type[PipelineError] = _STAGE_ERROR_CLASS.get(stage, PipelineError)
+    if isinstance(error, RecursionError):
+        # CPython's message names no location; report the fixed one.
+        return error_class(Diagnostic(
+            stage=stage, message=_DEPTH_LIMIT_MESSAGE, hint=_DEPTH_LIMIT_HINT,
+            cause=error, code=_DEPTH_LIMIT_CODE,
+        ))
     code = ""
     findings = getattr(error, "findings", None)
     if findings:
@@ -193,7 +209,6 @@ def wrap_exception(stage: str, error: BaseException) -> PipelineError:
         cause=error,
         code=code,
     )
-    error_class: Type[PipelineError] = _STAGE_ERROR_CLASS.get(stage, PipelineError)
     return error_class(diagnostic)
 
 
@@ -201,7 +216,9 @@ def wrappable_exceptions() -> Tuple[Type[BaseException], ...]:
     """The substrate exception types the pipeline knows how to wrap.
 
     Deliberately excludes programming errors (``AttributeError`` & co.),
-    which should surface as tracebacks, not diagnostics.
+    which should surface as tracebacks, not diagnostics.  ``RecursionError``
+    is included: it means the input is nested deeper than the recursive
+    walkers support, which is a property of the input, not a bug.
     """
     from ..analysis.report import AnalysisError
     from ..certification import CertificateParseError, CheckError, ProofGenError
@@ -220,4 +237,5 @@ def wrappable_exceptions() -> Tuple[Type[BaseException], ...]:
         CheckError,
         CorrespondenceError,
         ValueError,
+        RecursionError,
     )

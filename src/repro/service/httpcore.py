@@ -1,14 +1,13 @@
-"""Minimal shared HTTP/1.1 plumbing for the service and the cluster router.
+"""Minimal HTTP/1.1 plumbing for the certification server.
 
 Trust: **untrusted** transport — byte shuffling only; nothing here is
 load-bearing for soundness.
 
-Both :mod:`repro.service.server` (a certification node) and
-:mod:`repro.cluster.router` (the sharding front door) speak the same
-deliberately small HTTP dialect: ``Content-Length`` bodies, keep-alive
-with pushback-capable buffered reads, no chunked encoding.  This module
-is the single implementation both sides build on, so the node and the
-router can never disagree about framing.
+:mod:`repro.service.server` speaks a deliberately small HTTP dialect:
+``Content-Length`` bodies, keep-alive with pushback-capable buffered
+reads, no chunked encoding.  Request framing and response writing live
+here, apart from routing and admission, so the wire format can be read
+and tested on its own.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ MAX_HEADER_BYTES = 16 * 1024
 STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     408: "Request Timeout", 413: "Payload Too Large", 422: "Unprocessable Entity",
-    429: "Too Many Requests", 500: "Internal Server Error", 502: "Bad Gateway",
+    429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 

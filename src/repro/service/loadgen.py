@@ -74,9 +74,6 @@ class _Sample:
     #: Server-assigned trace id (every certify response carries one; with
     #: --trace-dir set on the server, errored ids map to persisted traces).
     trace_id: str = ""
-    #: Serving node name, when the request went through the cluster router
-    #: (it stamps each proxied response); empty against a single node.
-    node: str = ""
 
 
 @dataclass
@@ -187,7 +184,6 @@ def _drive(
                         ),
                         status=int(response.get("_status", 0) or 0),
                         trace_id=str(response.get("trace_id", "")),
-                        node=str(response.get("node", "")),
                     ))
                     break
 
@@ -316,14 +312,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
         },
         "server": health,
     }
-    node_split: Dict[str, int] = {}
-    for sample in samples:
-        if sample.node:
-            node_split[sample.node] = node_split.get(sample.node, 0) + 1
-    if node_split:
-        # Present only behind the cluster router, which stamps every
-        # proxied response with the serving node's name.
-        report["nodes"] = dict(sorted(node_split.items()))
     if config.baseline:
         baseline = measure_cli_baseline(config.baseline)
         report["baseline"] = baseline
@@ -358,10 +346,6 @@ def summarise(report: Dict[str, Any]) -> str:
         f"  cache: memory={cache['memory']} disk={cache['disk']} "
         f"miss={cache['miss']} hit-rate={cache['hit_rate']}",
     ]
-    nodes = report.get("nodes")
-    if nodes:
-        split = " ".join(f"{name}={count}" for name, count in nodes.items())
-        lines.append(f"  nodes: {split}")
     baseline = report.get("baseline")
     if baseline and "single_shot_rps" in baseline:
         lines.append(

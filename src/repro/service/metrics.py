@@ -109,8 +109,8 @@ class ServiceMetrics:
         self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Callable[[], float]] = {}
         self._help: Dict[str, str] = {}
-        # Every registry — node or router — identifies its build, so a
-        # mixed-version fleet is visible during rolling restarts:
+        # Every server identifies its build, so a mixed-version set of
+        # instances is visible during rolling restarts:
         # sum(repro_build_info) by (version) counts instances per version.
         from .. import __version__
 
@@ -164,7 +164,7 @@ class ServiceMetrics:
         """Register a callable sampled at render time.
 
         The same gauge name may be registered once per label set (e.g.
-        ``repro_cluster_ring_share{node="..."}``).
+        ``repro_stage_seconds_baseline_ratio{stage="..."}``).
         """
         with self._lock:
             if help:

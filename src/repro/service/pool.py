@@ -18,8 +18,8 @@ executor's worker discipline and fallback policy:
   *startup* it degrades executor creation to a thread pool; *mid-job* it
   means a worker died (OOM kill, SIGKILL): the pool recycles itself to a
   fresh executor of the same mode and raises :class:`WorkerCrash`, so
-  the request fails cleanly (5xx) instead of silently retrying — crash
-  visibility is what the cluster router's failover is built on.
+  the request fails cleanly (5xx) instead of silently retrying, so the
+  client (or a load balancer in front) sees the crash and can retry.
 
 On top of that, serving-specific policies:
 
@@ -274,7 +274,7 @@ class WorkerPool:
             # A worker died mid-job (OOM kill, SIGKILL, fork trouble).
             # Recycle to a fresh pool of the same mode and fail *this*
             # request cleanly — a silent in-process retry would hide real
-            # crashes from the operator and from the router's failover.
+            # crashes from the operator and from the client's retry logic.
             self._handle_crash(generation)
             raise WorkerCrash(
                 f"worker crashed mid-job ({type(error).__name__}: {error})"

@@ -36,13 +36,6 @@ persists the N slowest plus every errored request as Chrome-loadable
 trace files (docs/OBSERVABILITY.md).  Tracing is **advisory**: span
 bookkeeping happens around the verdict path, never inside it.
 
-When a request arrives with a ``traceparent`` *HTTP header* (the cluster
-router sends one), the server joins that trace instead of minting a new
-one, and with ``X-Trace-Return: spans`` it additionally ships its
-collected spans back in the response's ``trace`` field — the same
-fold-and-strip contract the worker honours towards the server, one hop
-up.  One trace then covers router → node → worker → every stage.
-
 Trust: **untrusted** front door — nothing here is load-bearing for
 soundness; verdicts come from the worker's fresh reparse+kernel run.
 """
@@ -60,11 +53,9 @@ from typing import Any, Dict, Optional, Tuple
 from ..trace import (
     RequestTraceStore,
     Span,
-    SpanContext,
     TraceCollector,
     format_traceparent,
     new_trace_id,
-    parse_traceparent,
 )
 from .admission import AdmissionController, RequestLimits
 from .httpcore import (
@@ -78,12 +69,6 @@ from .httpcore import (
 )
 from .metrics import ServiceMetrics
 from .pool import PoolConfig, PoolTimeout, WorkerCrash, WorkerPool
-
-#: Back-compat aliases — the HTTP plumbing moved to
-#: :mod:`repro.service.httpcore` so the cluster router shares it.
-_BadRequest = BadRequest
-_Request = Request
-_Connection = Connection
 
 
 @dataclass
@@ -111,7 +96,7 @@ class ServerConfig:
     drain_grace: float = 10.0
     #: How long the listener stays open *after* drain begins, seconds,
     #: so health probes observe ``draining`` (503 + Retry-After) and a
-    #: router can de-route this node before its socket closes.
+    #: load balancer can stop sending work before the socket closes.
     drain_notice: float = 0.5
     quiet: bool = True
     #: Directory for persisted request traces (None disables tracing).
@@ -326,7 +311,7 @@ class CertificationService:
         if self.config.drain_notice > 0 and self._server is not None:
             # Advertise the drain before closing the socket: health
             # probes landing in this window see 503 + Retry-After, so a
-            # router stops sending new work instead of eating resets.
+            # load balancer stops sending new work instead of eating resets.
             await asyncio.sleep(self.config.drain_notice)
         if self._server is not None:
             self._server.close()
@@ -348,12 +333,12 @@ class CertificationService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = _Connection(reader)
+        conn = Connection(reader)
         try:
             while True:
                 try:
                     request = await self._read_request(conn)
-                except _BadRequest as error:
+                except BadRequest as error:
                     await self._write_json(
                         writer, error.status, {"ok": False, "error": str(error)},
                         keep_alive=False,
@@ -383,13 +368,13 @@ class CertificationService:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _read_request(self, conn: _Connection) -> Optional[_Request]:
+    async def _read_request(self, conn: Connection) -> Optional[Request]:
         return await read_request(
             conn, self.config.limits.max_body_bytes, MAX_HEADER_BYTES
         )
 
     async def _dispatch_watching_disconnect(
-        self, request: _Request, conn: _Connection
+        self, request: Request, conn: Connection
     ) -> Optional[Tuple[int, bytes, str, Dict[str, str]]]:
         """Dispatch, cancelling the work if the client disconnects.
 
@@ -436,7 +421,7 @@ class CertificationService:
 
     # -- routing -----------------------------------------------------------
 
-    async def _dispatch(self, request: _Request) -> Tuple[int, bytes, str, Dict[str, str]]:
+    async def _dispatch(self, request: Request) -> Tuple[int, bytes, str, Dict[str, str]]:
         started = time.perf_counter()
         route = (request.method, request.path)
         try:
@@ -494,15 +479,15 @@ class CertificationService:
     ) -> Tuple[int, bytes, str, Dict[str, str]]:
         return json_response(status, payload, headers)
 
-    def _parse_body(self, request: _Request) -> Dict[str, Any]:
+    def _parse_body(self, request: Request) -> Dict[str, Any]:
         if not request.body:
-            raise _BadRequest("request body must be a JSON object")
+            raise BadRequest("request body must be a JSON object")
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _BadRequest(f"invalid JSON body: {error}") from None
+            raise BadRequest(f"invalid JSON body: {error}") from None
         if not isinstance(payload, dict):
-            raise _BadRequest("request body must be a JSON object")
+            raise BadRequest("request body must be a JSON object")
         return payload
 
     def _backpressure(self) -> Tuple[int, bytes, str, Dict[str, str]]:
@@ -523,33 +508,23 @@ class CertificationService:
         )
 
     async def _handle_single(
-        self, request: _Request, action: str
+        self, request: Request, action: str
     ) -> Tuple[int, bytes, str, Dict[str, str]]:
         try:
             payload = self._parse_body(request)
-        except _BadRequest as error:
+        except BadRequest as error:
             return self._json(error.status, {"ok": False, "error": str(error)})
         payload["action"] = action
         # Every single-document request gets a trace id (response field +
-        # X-Trace-Id header).  A router hop can hand us its context via a
-        # traceparent *header*; we join that trace instead of minting one,
-        # and with X-Trace-Return: spans we ship our spans back in the
-        # response for the caller to fold — the same contract the worker
-        # honours towards this server, one hop up.
-        incoming: Optional[SpanContext] = parse_traceparent(
-            request.headers.get("traceparent")
-        )
-        return_spans = (
-            request.headers.get("x-trace-return", "").strip().lower() == "spans"
-        )
-        trace_id = incoming.trace_id if incoming is not None else new_trace_id()
+        # X-Trace-Id header); spans are collected only with --trace-dir.
+        trace_id = new_trace_id()
         collector: Optional[TraceCollector] = None
         root: Optional[Span] = None
         pool_span: Optional[Span] = None
-        if self.trace_store is not None or (return_spans and incoming is not None):
+        if self.trace_store is not None:
             collector = TraceCollector()
             root = Span.start(
-                "request", parent=incoming, trace_id=trace_id,
+                "request", trace_id=trace_id,
                 attributes={"endpoint": request.path, "action": action},
             )
             admit_span = Span.start("admission", parent=root.context())
@@ -583,8 +558,6 @@ class CertificationService:
         status = int(response.pop("status", 200))
         if root is not None:
             self._finish_trace(root, collector, status, response)
-            if return_spans:
-                response["trace"] = [span.to_dict() for span in collector.spans]
         return self._json(status, response, {"X-Trace-Id": trace_id})
 
     def _finish_trace(
@@ -602,9 +575,6 @@ class CertificationService:
             )
         root.end()
         collector.add(root)
-        if self.trace_store is None:
-            # Traced only for a span-returning caller; nothing persists here.
-            return
         for reason in self.trace_store.offer(root, collector.spans):
             self.metrics.inc(
                 "repro_traces_persisted_total", labels={"reason": reason},
@@ -612,11 +582,11 @@ class CertificationService:
             )
 
     async def _handle_batch(
-        self, request: _Request
+        self, request: Request
     ) -> Tuple[int, bytes, str, Dict[str, str]]:
         try:
             payload = self._parse_body(request)
-        except _BadRequest as error:
+        except BadRequest as error:
             return self._json(error.status, {"ok": False, "error": str(error)})
         items = payload.get("requests")
         if not isinstance(items, list):
@@ -688,8 +658,8 @@ class CertificationService:
             },
         }
         if draining:
-            # Retry-After tells pollers (and the cluster router) when to
-            # look again; the router de-routes on sight of "draining".
+            # Retry-After tells pollers when to look again; a load
+            # balancer's health probe takes the instance out of rotation.
             return self._json(503, payload, {"Retry-After": "1"})
         return self._json(200, payload)
 

@@ -194,13 +194,6 @@ DEFAULT_POLICY = TrustPolicy(
         ("repro.service.client", "advisory"),
         ("repro.service.loadgen", "advisory"),
         ("repro.service.metrics", "advisory"),
-        # -- clustering ---------------------------------------------------
-        ("repro.cluster", "untrusted-but-checked"),
-        ("repro.cluster.*", "untrusted-but-checked"),
-        ("repro.cluster.ring", "advisory"),
-        ("repro.cluster.health", "advisory"),
-        ("repro.cluster.nodes", "advisory"),
-        ("repro.cluster.chaos", "advisory"),
         # -- observability / analysis / defence-in-depth -------------------
         ("repro.trace", "advisory"),
         ("repro.trace.*", "advisory"),

@@ -61,12 +61,26 @@ def scaffold_context() -> Tuple[Program, ProgramTypeInfo, ViperContext]:
     return context_for(SCAFFOLD, "scaffold")
 
 
+def deep_sum_source(terms: int) -> str:
+    """A one-method program assigning a flat sum of ``terms`` ones."""
+    return ("method m() returns (r: Int)\n{\n  r := "
+            + " + ".join(["1"] * terms) + "\n}\n")
+
+
+def deep_parens_source(depth: int) -> str:
+    """A one-method program assigning ``1`` under ``depth`` parentheses."""
+    return ("method m() returns (r: Int)\n{\n  r := "
+            + "(" * depth + "1" + ")" * depth + "\n}\n")
+
+
 __all__ = [
     "parsed",
     "context_for",
     "vstate",
     "scaffold_context",
     "SCAFFOLD",
+    "deep_sum_source",
+    "deep_parens_source",
     "NULL",
     "VBool",
     "VInt",
@@ -74,3 +88,4 @@ __all__ = [
     "VRef",
     "Fraction",
 ]
+

@@ -95,6 +95,13 @@ class TestDiagnosticRendering:
         assert type(error) is PipelineError
         assert error.stage == "mystery"
 
+    def test_recursion_error_becomes_the_fixed_depth_diagnostic(self):
+        error = wrap_exception("units", RecursionError("maximum recursion depth"))
+        assert error.stage == "units"
+        assert error.diagnostic.code == "LIM001"
+        assert "recursion" not in error.diagnostic.message
+        assert error.hint and error.location is None
+
     def test_translate_error_category(self):
         from repro.frontend import TranslationError
 

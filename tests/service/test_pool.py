@@ -146,7 +146,7 @@ class TestAsyncSubmit:
 class TestWorkerCrash:
     """Process-pool fault injection: SIGKILL a live worker mid-job.
 
-    The contract (shared with the cluster router's failover): the killed
+    The contract (what lets a client or load balancer retry): the killed
     job fails *loudly* with :class:`WorkerCrash`, the pool replaces the
     broken executor with a fresh one of the same mode, and the very next
     submission succeeds.

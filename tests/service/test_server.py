@@ -26,6 +26,7 @@ from repro.pipeline.cache import source_digest
 from repro.service.client import ServiceClient, ServiceThrottled
 from repro.service.diskcache import DiskCache, options_digest
 from repro.service.server import BackgroundServer, ServerConfig
+from tests.helpers import deep_parens_source, deep_sum_source
 
 
 def _quickstart_source() -> str:
@@ -104,6 +105,18 @@ class TestCertifyEndpoint:
         assert response["error_stage"] == "parse"
         assert response["error"]
 
+    @pytest.mark.parametrize("source, stage", [
+        (deep_sum_source(400), "units"),
+        (deep_parens_source(100), "parse"),
+    ], ids=["sum-400-terms", "parens-100-deep"])
+    def test_deep_input_is_a_coded_422_not_a_500(self, client, source, stage):
+        response = client.certify(source)
+        assert response["_status"] == 422
+        assert response["code"] == "LIM001"
+        assert response["error_stage"] == stage
+        assert response["hint"]
+        assert "traceback" not in response
+
     def test_translate_endpoint_returns_boogie(self, client):
         response = client.translate(SMALL)
         assert response["ok"] and "procedure" in response["boogie"]
@@ -145,6 +158,12 @@ class TestOperationalEndpoints:
         assert "repro_stage_seconds_count" in text
         # Request counters by endpoint.
         assert 'endpoint="/v1/certify"' in text
+
+    def test_metrics_expose_build_info(self, client):
+        from repro import __version__
+
+        text = client.metrics()
+        assert f'repro_build_info{{version="{__version__}"}} 1' in text
 
     def test_unknown_route_is_404_and_bad_method_is_405(self, client):
         assert client._request("GET", "/nope")["_status"] == 404
@@ -208,9 +227,9 @@ class TestDrainAnnouncement:
     def test_healthz_answers_503_draining_with_retry_after(self, tmp_path):
         """During a SIGTERM drain the listener stays open for
         ``drain_notice`` seconds and ``/healthz`` answers 503
-        ``draining`` + ``Retry-After`` — the window a cluster router's
-        probe needs to de-route the node *before* connects start
-        failing."""
+        ``draining`` + ``Retry-After`` — the window a load balancer's
+        health probe needs to take the instance out of rotation *before*
+        connects start failing."""
         import time
 
         config = _config(tmp_path, drain_notice=1.5)

@@ -8,6 +8,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import main
+from tests.helpers import deep_parens_source, deep_sum_source
 
 GOOD = """
 field f: Int
@@ -190,6 +191,22 @@ class TestInterruptAndDiagnostics:
         )
         assert main(["translate", str(path)]) == 2
         assert "error[typecheck]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, source", [
+        ("certify", deep_sum_source(400)),
+        ("certify", deep_parens_source(100)),
+        ("lint", deep_parens_source(100)),
+        ("lint", deep_sum_source(1500)),
+    ], ids=["certify-sum", "certify-parens", "lint-parens", "lint-sum"])
+    def test_deep_input_is_a_coded_diagnostic_with_exit_2(
+        self, tmp_path, capsys, command, source
+    ):
+        path = tmp_path / "deep.vpr"
+        path.write_text(source)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "LIM001" in err and "hint:" in err
+        assert "Traceback" not in err
 
     def test_timings_flag_prints_instrumentation(self, viper_file, capsys):
         assert main(["certify", str(viper_file), "--timings"]) == 0

@@ -26,8 +26,11 @@ def _run(server, requests=4):
 
 
 class TestLoadgenTracing:
-    def test_every_5xx_has_a_persisted_error_trace(self, tmp_path):
+    def test_every_5xx_has_a_persisted_error_trace(self, tmp_path, monkeypatch):
         # A deadline no request can meet: every certify expires to 504.
+        # The parse delay makes every job outlast it, so a fast worker
+        # thread cannot finish before the event loop's deadline fires.
+        monkeypatch.setenv("REPRO_STAGE_DELAY", "parse=0.05")
         config = ServerConfig(
             port=0, use_threads=True, jobs=1, quiet=True,
             trace_dir=str(tmp_path), request_timeout=0.0001, drain_grace=0.5,
