@@ -18,13 +18,17 @@ semilattice supplied by the client analysis:
   handles it so client lattices never model reachability themselves;
 * ``transfer`` maps a node's in-state to its out-state;
 * ``transfer_edge`` lets branch nodes refine the out-state per edge label
-  (e.g. a constantly-false condition kills its ``True`` edge);
+  (e.g. a constantly-false condition kills its ``True`` edge); unlabelled
+  edges carry the out-state unchanged;
 * after a node has been revisited ``widen_after`` times its in-state is
   widened instead of joined, which bounds iteration for infinite-height
   lattices (the permission-interval abstraction of ``checks.py``).
 
 A small backward liveness solver (``run_liveness``) rides along for the
 dead-store check; it shares the CFG and the worklist discipline.
+
+Clients may attach per-node facts to :class:`CFGNode` objects as
+attributes; a CFG lives exactly as long as one method's analysis.
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ class ForwardAnalysis:
         return state
 
     def transfer_edge(self, node: CFGNode, state, label: EdgeLabel):
-        """Refine the out-state along one labelled edge.
+        """Refine the out-state along one labelled edge (the engine passes
+        the out-state unchanged along unlabelled ones).
 
         Return ``None`` to kill the edge (e.g. the ``True`` edge of a
         constantly-false branch)."""
@@ -201,7 +206,10 @@ def run_forward(
         if out is None:
             continue
         for succ, label in cfg.succs[index]:
-            edge_state = analysis.transfer_edge(node, out, label)
+            if label is None:
+                edge_state = out
+            else:
+                edge_state = analysis.transfer_edge(node, out, label)
             if edge_state is None:
                 continue
             if succ not in in_states:
@@ -240,21 +248,27 @@ def run_liveness(
     """
     live_in: Dict[int, FrozenSet[str]] = {}
     live_out: Dict[int, FrozenSet[str]] = {}
-    changed = True
-    while changed:
-        changed = False
-        # Reverse creation order approximates reverse program order, so the
-        # round-robin sweep converges in a handful of passes.
-        for index in range(len(cfg.nodes) - 1, -1, -1):
-            node = cfg.nodes[index]
-            out: FrozenSet[str] = frozenset()
-            for succ, _ in cfg.succs[index]:
-                out |= live_in.get(succ, frozenset())
-            if node.kind == "exit":
-                out = out | exit_live
-            new_in = uses(node) | (out - defs(node))
-            if out != live_out.get(index) or new_in != live_in.get(index):
-                live_out[index] = out
-                live_in[index] = new_in
-                changed = True
+    empty: FrozenSet[str] = frozenset()
+    # A stack popped from the end visits nodes in reverse creation order,
+    # which approximates reverse program order; a node is revisited only
+    # when a successor's live-in set grows.
+    worklist = list(range(len(cfg.nodes)))
+    queued = set(worklist)
+    while worklist:
+        index = worklist.pop()
+        queued.discard(index)
+        node = cfg.nodes[index]
+        out = empty
+        for succ, _ in cfg.succs[index]:
+            out |= live_in.get(succ, empty)
+        if node.kind == "exit":
+            out = out | exit_live
+        live_out[index] = out
+        new_in = uses(node) | (out - defs(node))
+        if new_in != live_in.get(index):
+            live_in[index] = new_in
+            for pred, _ in cfg.preds[index]:
+                if pred not in queued:
+                    queued.add(pred)
+                    worklist.append(pred)
     return live_out

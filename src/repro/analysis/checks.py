@@ -64,8 +64,8 @@ desugared programs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -110,6 +110,8 @@ from ..viper.ast import (
 from ..viper.loops import While
 from ..viper.oldexprs import OldExpr
 from .cfg import CFG, CFGNode, ForwardAnalysis, build_cfg, run_forward, run_liveness
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,61 +261,71 @@ def _synthesized(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_CHILDREN = {
+    OldExpr: lambda expr: (expr.expr,),
+    FieldAcc: lambda expr: (expr.receiver,),
+    BinOp: lambda expr: (expr.left, expr.right),
+    UnOp: lambda expr: (expr.operand,),
+    CondExp: lambda expr: (expr.cond, expr.then, expr.otherwise),
+}
+
+
 def _children(expr: Expr) -> Tuple[Expr, ...]:
-    if isinstance(expr, OldExpr):
-        return (expr.expr,)
-    if isinstance(expr, FieldAcc):
-        return (expr.receiver,)
-    if isinstance(expr, BinOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, UnOp):
-        return (expr.operand,)
-    if isinstance(expr, CondExp):
-        return (expr.cond, expr.then, expr.otherwise)
-    return ()
+    children = _CHILDREN.get(type(expr))
+    return children(expr) if children is not None else ()
 
 
 def _expr_reads(expr: Expr) -> FrozenSet[str]:
-    if isinstance(expr, Var):
-        return frozenset({expr.name})
-    result: FrozenSet[str] = frozenset()
-    for child in _children(expr):
-        result |= _expr_reads(child)
-    return result
+    names: Set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            names.add(node.name)
+        else:
+            stack.extend(_children(node))
+    return frozenset(names)
 
 
 def _expr_heap_fields(expr: Expr) -> List[str]:
     """Fields read from the *current* heap (``old()`` interiors excluded —
     they read the pre-state, whose mask the analysis does not model)."""
-    if isinstance(expr, OldExpr):
-        return []
     fields: List[str] = []
-    if isinstance(expr, FieldAcc):
-        fields.append(expr.field)
-    for child in _children(expr):
-        fields.extend(_expr_heap_fields(child))
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is OldExpr:
+            continue
+        if kind is FieldAcc:
+            fields.append(node.field)
+        stack.extend(_children(node))
     return fields
 
 
 def _expr_has_old(expr: Expr) -> bool:
-    if isinstance(expr, OldExpr):
-        return True
-    return any(_expr_has_old(child) for child in _children(expr))
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is OldExpr:
+            return True
+        stack.extend(_children(node))
+    return False
+
+
+_PARTS = {
+    AExpr: lambda a: ((a.expr,), ()),
+    Acc: lambda a: ((a.receiver, a.perm), ()),
+    SepConj: lambda a: ((), (a.left, a.right)),
+    Implies: lambda a: ((a.cond,), (a.body,)),
+    CondAssert: lambda a: ((a.cond,), (a.then, a.otherwise)),
+}
 
 
 def _assertion_parts(assertion: Assertion):
     """(exprs, sub-assertions) of one assertion level."""
-    if isinstance(assertion, AExpr):
-        return (assertion.expr,), ()
-    if isinstance(assertion, Acc):
-        return (assertion.receiver, assertion.perm), ()
-    if isinstance(assertion, SepConj):
-        return (), (assertion.left, assertion.right)
-    if isinstance(assertion, Implies):
-        return (assertion.cond,), (assertion.body,)
-    if isinstance(assertion, CondAssert):
-        return (assertion.cond,), (assertion.then, assertion.otherwise)
-    return (), ()
+    parts = _PARTS.get(type(assertion))
+    return parts(assertion) if parts is not None else ((), ())
 
 
 def _assertion_reads(assertion: Assertion) -> FrozenSet[str]:
@@ -327,31 +339,13 @@ def _assertion_reads(assertion: Assertion) -> FrozenSet[str]:
 
 
 def _assertion_has_old(assertion: Assertion) -> bool:
-    exprs, subs = _assertion_parts(assertion)
-    return any(_expr_has_old(e) for e in exprs) or any(
-        _assertion_has_old(s) for s in subs
-    )
-
-
-def _assertion_field_mentions(assertion: Assertion) -> Set[str]:
-    exprs, subs = _assertion_parts(assertion)
-    fields: Set[str] = set()
-    if isinstance(assertion, Acc):
-        fields.add(assertion.field)
-    for expr in exprs:
-        fields.update(_all_expr_fields(expr))
-    for sub in subs:
-        fields.update(_assertion_field_mentions(sub))
-    return fields
-
-
-def _all_expr_fields(expr: Expr) -> Set[str]:
-    fields: Set[str] = set()
-    if isinstance(expr, FieldAcc):
-        fields.add(expr.field)
-    for child in _children(expr):
-        fields.update(_all_expr_fields(child))
-    return fields
+    stack = [assertion]
+    while stack:
+        exprs, subs = _assertion_parts(stack.pop())
+        if any(_expr_has_old(expr) for expr in exprs):
+            return True
+        stack.extend(subs)
+    return False
 
 
 def _literal_false(assertion: Assertion) -> bool:
@@ -368,69 +362,95 @@ def _is_literal_expr(expr: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-node reads/writes (shared by the dataflow clients)
+# Per-node facts (shared by the dataflow clients)
 # ---------------------------------------------------------------------------
 
 
-def _per_node(fn):
-    """Memoize a ``CFGNode -> value`` helper on the node itself.
-
-    These helpers are pure in the node, but the worklist engine calls the
-    transfer functions (and hence the helpers) once per fixpoint *visit* —
-    several times per node on loops — which the profile shows dominating
-    the analyze stage.  CFG nodes live exactly as long as one method's
-    analysis, so stashing the value on the node is leak-free."""
-    key = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(node: CFGNode):
-        memo = node.__dict__.setdefault("_memo", {})
-        try:
-            return memo[key]
-        except KeyError:
-            memo[key] = result = fn(node)
-            return result
-
-    return wrapper
+#: The statements that carry an assertion.
+_SPEC_STMTS = (Inhale, Exhale, AssertStmt)
 
 
-@_per_node
-def _node_checked_reads(node: CFGNode) -> FrozenSet[str]:
-    """Variable reads the definite-assignment check reports on.
+def _annotate(cfg: CFG, fields: Tuple[str, ...]) -> None:
+    """Attach each node's facts as attributes, once, right after
+    :func:`build_cfg`.  The worklist engine calls the transfer functions
+    once per fixpoint *visit* (several times per node on loops), so they
+    read these instead of walking the statement again:
 
-    Reads inside ``inhale`` are excluded: inhaling a fact about a havoced
-    variable is how the subset expresses a nondeterministic choice."""
-    stmt = node.stmt
-    if node.kind == "branch":
-        return _expr_reads(stmt.cond)
-    if node.kind == "loop-head":
-        return _expr_reads(stmt.cond) | _assertion_reads(stmt.invariant)
-    if isinstance(stmt, LocalAssign):
-        return _expr_reads(stmt.rhs)
-    if isinstance(stmt, FieldAssign):
-        return _expr_reads(stmt.receiver) | _expr_reads(stmt.rhs)
-    if isinstance(stmt, MethodCall):
-        result: FrozenSet[str] = frozenset()
-        for arg in stmt.args:
-            result |= _expr_reads(arg)
-        return result
-    if isinstance(stmt, (Exhale, AssertStmt)):
-        return _assertion_reads(stmt.assertion)
-    return frozenset()
+    * ``reads`` — every variable the node reads (liveness uses);
+    * ``checked_reads`` — the reads the definite-assignment check reports
+      on: all but an ``inhale``'s, since inhaling a fact about a havoced
+      variable is how the subset expresses a nondeterministic choice;
+    * ``fields`` — the fields the statement mentions (``old()`` included);
+    * ``defs`` — the variables the node writes or declares;
+    * ``kills_flow`` — the node makes all successors unreachable;
+    * ``constant`` — a branch or loop head's literal condition, else None;
+    * ``perm_identity`` — its permission transfer is provably the identity.
+    """
+    for node in cfg.nodes:
+        stmt = node.stmt
+        cls = type(stmt)
+        reads: Set[str] = set()
+        mentioned: Set[str] = set()
+        has_acc = False
+        node.constant = None
+        if node.kind in ("branch", "loop-head"):
+            _expr_facts(stmt.cond, reads, mentioned)
+            if node.kind == "loop-head":
+                _assertion_facts(stmt.invariant, reads, mentioned)
+            if type(stmt.cond) is BoolLit:
+                node.constant = stmt.cond.value
+        elif cls is LocalAssign:
+            _expr_facts(stmt.rhs, reads, mentioned)
+        elif cls is FieldAssign:
+            mentioned.add(stmt.field)
+            _expr_facts(stmt.receiver, reads, mentioned)
+            _expr_facts(stmt.rhs, reads, mentioned)
+        elif cls is MethodCall:
+            for arg in stmt.args:
+                _expr_facts(arg, reads, mentioned)
+        elif cls in _SPEC_STMTS:
+            has_acc = _assertion_facts(stmt.assertion, reads, mentioned)
+        elif cls is NewStmt:
+            mentioned.update(fields if stmt.all_fields else stmt.fields)
+        node.reads = frozenset(reads)
+        node.checked_reads = frozenset() if cls is Inhale else node.reads
+        node.fields = mentioned
+        node.defs = _defs(stmt)
+        node.kills_flow = cls in _SPEC_STMTS and _literal_false(stmt.assertion)
+        node.perm_identity = _perm_identity(node, has_acc)
 
 
-@_per_node
-def _node_all_reads(node: CFGNode) -> FrozenSet[str]:
-    """Every variable read by a node (liveness uses; includes inhale)."""
-    stmt = node.stmt
-    if isinstance(stmt, Inhale):
-        return _assertion_reads(stmt.assertion)
-    return _node_checked_reads(node)
+def _expr_facts(expr: Expr, reads: Set[str], fields: Set[str]) -> None:
+    """Add the variables ``expr`` reads and the fields it mentions."""
+    kind = type(expr)
+    if kind is Var:
+        reads.add(expr.name)
+        return
+    if kind is FieldAcc:
+        fields.add(expr.field)
+    children = _CHILDREN.get(kind)
+    if children is not None:
+        for child in children(expr):
+            _expr_facts(child, reads, fields)
 
 
-@_per_node
-def _node_defs(node: CFGNode) -> FrozenSet[str]:
-    stmt = node.stmt
+def _assertion_facts(assertion: Assertion, reads: Set[str], fields: Set[str]) -> bool:
+    """Add an assertion's reads and fields; returns whether it has an ``acc``."""
+    has_acc = False
+    stack = [assertion]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Acc):
+            has_acc = True
+            fields.add(node.field)
+        exprs, subs = _assertion_parts(node)
+        for expr in exprs:
+            _expr_facts(expr, reads, fields)
+        stack.extend(subs)
+    return has_acc
+
+
+def _defs(stmt) -> FrozenSet[str]:
     if isinstance(stmt, LocalAssign):
         return frozenset({stmt.target})
     if isinstance(stmt, MethodCall):
@@ -442,29 +462,12 @@ def _node_defs(node: CFGNode) -> FrozenSet[str]:
     return frozenset()
 
 
-@_per_node
-def _kills_flow(node: CFGNode) -> bool:
-    """Does the node make all successors semantically unreachable?"""
-    stmt = node.stmt
-    if isinstance(stmt, (Inhale, Exhale, AssertStmt)):
-        return _literal_false(stmt.assertion)
-    return False
-
-
-@_per_node
-def _constant_cond(node: CFGNode) -> Optional[bool]:
-    if node.kind in ("branch", "loop-head") and isinstance(node.stmt.cond, BoolLit):
-        return node.stmt.cond.value
-    return None
-
-
 class _SemanticAnalysis(ForwardAnalysis):
     """Shared behaviour: literal-false statements and constant-condition
     edges cut the flow, so no semantic check reports inside dead code."""
 
     def transfer_edge(self, node: CFGNode, state, label):
-        constant = _constant_cond(node)
-        if constant is not None and label is not None and label != constant:
+        if node.constant is not None and label != node.constant:
             return None
         return state
 
@@ -489,17 +492,17 @@ class _DefiniteAssignment(_SemanticAnalysis):
         return a & b
 
     def transfer(self, node: CFGNode, state):
-        if _kills_flow(node):
+        if node.kills_flow:
             return None
         stmt = node.stmt
         if isinstance(stmt, VarDecl):
             return state - {stmt.name}
         if isinstance(stmt, Inhale):
-            return state | _assertion_reads(stmt.assertion)
+            return state | node.reads
         if node.kind == "loop-head":
             # The desugaring inhales the invariant at the head.
             return state | _assertion_reads(stmt.invariant)
-        return state | _node_defs(node)
+        return (state | node.defs) if node.defs else state
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +510,24 @@ class _DefiniteAssignment(_SemanticAnalysis):
 # ---------------------------------------------------------------------------
 
 
-class _ReportReachability(ForwardAnalysis):
-    def initial(self):
-        return True
-
-    def join(self, a, b):
-        return True
-
-    def transfer(self, node: CFGNode, state):
-        stmt = node.stmt
-        if isinstance(stmt, (Exhale, AssertStmt)) and _literal_false(stmt.assertion):
-            return None
-        return True
-
-    def transfer_edge(self, node: CFGNode, state, label):
-        constant = _constant_cond(node)
-        if constant is not None and label is not None and label != constant:
-            return None
-        return True
+def _report_reachable(cfg: CFG) -> Set[int]:
+    """The nodes reachable from the entry when only literally-false
+    ``exhale``/``assert`` statements and the dead edges of constant
+    conditions cut the flow.  Every state of this analysis is the same
+    fact, so a plain graph search computes its fixpoint."""
+    reachable = {cfg.entry}
+    stack = [cfg.entry]
+    while stack:
+        node = cfg.nodes[stack.pop()]
+        if node.kills_flow and not isinstance(node.stmt, Inhale):
+            continue
+        for succ, label in cfg.succs[node.index]:
+            if label is not None and node.constant is not None and label != node.constant:
+                continue
+            if succ not in reachable:
+                reachable.add(succ)
+                stack.append(succ)
+    return reachable
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +744,9 @@ class _PermState:
 
     @staticmethod
     def make(hi: Dict[str, _PermHi], lo: Dict[Tuple[str, str], Fraction]):
-        return _PermState(hi, {k: v for k, v in lo.items() if v > 0})
+        # (A rational's sign is its numerator's; this skips Fraction's
+        # slow generic comparison.)
+        return _PermState(hi, {k: v for k, v in lo.items() if v.numerator > 0})
 
     def hi_map(self) -> Dict[str, _PermHi]:
         return dict(self.hi)
@@ -759,7 +764,7 @@ def _hi_add(a: _PermHi, amount: Optional[Fraction]) -> _PermHi:
 def _hi_sub(a: _PermHi, amount: Fraction) -> _PermHi:
     if a is None:
         return None
-    return max(a - amount, Fraction(0))
+    return max(a - amount, _ZERO)
 
 
 def _hi_lt(a: _PermHi, amount: Fraction) -> bool:
@@ -767,82 +772,74 @@ def _hi_lt(a: _PermHi, amount: Fraction) -> bool:
     return a is not None and a < amount
 
 
-def _assertion_has_acc(assertion: Assertion) -> bool:
-    if isinstance(assertion, Acc):
-        return True
-    _, subs = _assertion_parts(assertion)
-    return any(_assertion_has_acc(sub) for sub in subs)
-
-
-@_per_node
-def _node_perm_identity(node: CFGNode) -> bool:
+def _perm_identity(node: CFGNode, has_acc: bool) -> bool:
     """Is the permission transfer of this node provably the identity?
 
     With ``report=None`` the fixpoint transfer only *changes* state on
     ``acc`` conjuncts, allocation, calls, assignments, and loop heads;
     the ubiquitous pure assertions (``assert x.f > 0``) walk the whole
     assertion just to return the input.  Deciding that once per node and
-    short-circuiting keeps the analyze stage inside its <5% budget.  The
-    reporting pass never takes this path — it re-runs the full transfer
-    to emit heap-read findings."""
+    short-circuiting keeps the analyze stage inside its <5% budget.  A
+    node that mentions a field never takes this path: its transfer also
+    collects the node's findings (see :class:`_PermissionFlow`)."""
     if node.kind in ("entry", "exit", "branch"):
         return True  # _heap_reads is a no-op without a report sink
     if node.kind == "loop-head":
         return False
     stmt = node.stmt
     if isinstance(stmt, (Inhale, Exhale, AssertStmt)):
-        return not _literal_false(stmt.assertion) and not _assertion_has_acc(
-            stmt.assertion
-        )
+        return not node.kills_flow and not has_acc
     return isinstance(stmt, (VarDecl, Skip))
 
 
 class _PermissionFlow(_SemanticAnalysis):
-    def __init__(self, fields: Tuple[str, ...], method: MethodDecl):
+    """``entry`` is the state after inhaling the precondition, computed
+    once by the caller (it also reports on the precondition).
+
+    The transfer of a node that mentions a field also collects that
+    node's findings; ``reports`` keeps those of its latest visit.  The
+    engine re-queues a node whenever its in-state changes, so the latest
+    visit runs on the fixpoint's in-state, and ``reports`` holds exactly
+    what a reporting pass over the final in-states would find."""
+
+    def __init__(
+        self, fields: Tuple[str, ...], method: MethodDecl, entry: _PermState
+    ):
         self._fields = fields
         self._method = method
+        self._entry = entry
+        self.reports: Dict[int, List[Finding]] = {}
 
     # -- lattice ----------------------------------------------------------
 
     def initial(self):
-        hi: Dict[str, _PermHi] = {f: Fraction(0) for f in self._fields}
-        state = _PermState.make(hi, {})
-        return _perm_assertion(
-            state, self._method.pre, "inhale", definite=False, report=None
-        )
+        return self._entry
 
     def join(self, a: _PermState, b: _PermState):
-        ahi, bhi = a.hi_map(), b.hi_map()
-        hi: Dict[str, _PermHi] = {}
-        for f in set(ahi) | set(bhi):
-            x, y = ahi.get(f, Fraction(0)), bhi.get(f, Fraction(0))
-            hi[f] = None if (x is None or y is None) else max(x, y)
-        alo, blo = a.lo_map(), b.lo_map()
-        lo = {
-            key: min(alo.get(key, Fraction(0)), blo.get(key, Fraction(0)))
-            for key in set(alo) | set(blo)
-        }
-        return _PermState.make(hi, lo)
+        return _perm_join(a, b)
 
     def widen(self, old: _PermState, new: _PermState):
         """Degrade any growing bound straight to TOP so loops converge."""
         ohi, nhi = old.hi_map(), new.hi_map()
         hi: Dict[str, _PermHi] = {}
         for f in set(ohi) | set(nhi):
-            x, y = ohi.get(f, Fraction(0)), nhi.get(f, Fraction(0))
+            x, y = ohi.get(f, _ZERO), nhi.get(f, _ZERO)
             hi[f] = x if (x is not None and y is not None and y <= x) else None
         olo, nlo = old.lo_map(), new.lo_map()
         lo = {
             key: olo[key]
             for key in olo
-            if nlo.get(key, Fraction(0)) >= olo[key]
+            if nlo.get(key, _ZERO) >= olo[key]
         }
         return _PermState.make(hi, lo)
 
     # -- transfer ---------------------------------------------------------
 
     def transfer(self, node: CFGNode, state: _PermState):
-        if _node_perm_identity(node):
+        if node.fields:  # every finding names a field the node mentions
+            report = self.reports[node.index] = []
+            return _perm_node(node, state, self._fields, report, self._method)
+        if node.perm_identity:
             return state
         return _perm_node(node, state, self._fields, report=None)
 
@@ -861,7 +858,7 @@ def _perm_node(
     """Shared transfer/report body.  With ``report=None`` it is the pure
     transfer; with a list it also appends findings (the reporting pass
     re-runs it on the fixpoint's in-states)."""
-    if _kills_flow(node):
+    if node.kills_flow:
         return None
     stmt = node.stmt
     line = node.pos
@@ -887,8 +884,8 @@ def _perm_node(
         return _drop_var_lo(state, stmt.target)
     if isinstance(stmt, FieldAssign):
         _heap_reads(state, (stmt.receiver, stmt.rhs), report, method, line)
-        hi = state.hi_map().get(stmt.field, Fraction(0))
-        if report is not None and _hi_lt(hi, Fraction(1)):
+        hi = state.hi_map().get(stmt.field, _ZERO)
+        if report is not None and _hi_lt(hi, _ONE):
             report.append(Finding(
                 "VPR008",
                 f"write to .{stmt.field} requires full permission, but at "
@@ -910,8 +907,8 @@ def _perm_node(
         for key in [k for k in lo if k[0] == stmt.target]:
             del lo[key]
         for f in allocated:
-            hi[f] = _hi_add(hi.get(f, Fraction(0)), Fraction(1))
-            lo[(stmt.target, f)] = Fraction(1)
+            hi[f] = _hi_add(hi.get(f, _ZERO), _ONE)
+            lo[(stmt.target, f)] = _ONE
         return _PermState.make(hi, lo)
     if isinstance(stmt, Inhale):
         return _perm_assertion(state, stmt.assertion, "inhale",
@@ -929,6 +926,8 @@ def _perm_node(
 
 
 def _drop_var_lo(state: _PermState, name: str) -> _PermState:
+    if not any(key[0] == name for key in state.lo):
+        return state
     lo = {k: v for k, v in state.lo_map().items() if k[0] != name}
     return _PermState.make(state.hi_map(), lo)
 
@@ -942,10 +941,11 @@ def _heap_reads(
 ) -> None:
     if report is None:
         return
-    hi = state.hi_map()
+    hi = state.hi
     for expr in exprs:
         for f in _expr_heap_fields(expr):
-            if hi.get(f, Fraction(0)) == Fraction(0):
+            bound = hi.get(f, _ZERO)
+            if bound is not None and not bound:  # provably zero
                 report.append(Finding(
                     "VPR008",
                     f"read of .{f}, but no permission to {f} can be held "
@@ -986,17 +986,16 @@ def _perm_assertion(
     emit = report if (report is not None and definite) else None
     read_state = state if mode == "inhale" else eval_state
     if isinstance(assertion, AExpr):
-        _heap_reads(read_state, (assertion.expr,), emit, method, line)
+        if emit is not None:
+            _heap_reads(read_state, (assertion.expr,), emit, method, line)
         return state
     if isinstance(assertion, SepConj):
-        state = _perm_assertion(state, assertion.left, mode, definite=definite,
-                                report=report, method=method, line=line,
-                                eval_state=eval_state,
-                                flag_inconsistency=flag_inconsistency)
-        return _perm_assertion(state, assertion.right, mode, definite=definite,
-                               report=report, method=method, line=line,
-                               eval_state=eval_state,
-                                flag_inconsistency=flag_inconsistency)
+        for part in _conjuncts(assertion):
+            state = _perm_assertion(state, part, mode, definite=definite,
+                                    report=report, method=method, line=line,
+                                    eval_state=eval_state,
+                                    flag_inconsistency=flag_inconsistency)
+        return state
     if isinstance(assertion, Implies):
         _heap_reads(read_state, (assertion.cond,), emit, method, line)
         taken = _perm_assertion(state, assertion.body, mode, definite=False,
@@ -1036,10 +1035,10 @@ def _perm_assertion(
             else None
         )
         if mode == "inhale":
-            hi[f] = _hi_add(hi.get(f, Fraction(0)), amount)
+            hi[f] = _hi_add(hi.get(f, _ZERO), amount)
             if receiver is not None and amount is not None:
                 key = (receiver, f)
-                lo[key] = lo.get(key, Fraction(0)) + amount
+                lo[key] = lo.get(key, _ZERO) + amount
                 if lo[key] > 1:
                     if emit is not None and flag_inconsistency:
                         emit.append(Finding(
@@ -1055,13 +1054,13 @@ def _perm_assertion(
                     return None
             return _PermState.make(hi, lo)
         # exhale / assert both require the permission to be present.
-        if amount is not None and amount > 0 and _hi_lt(hi.get(f, Fraction(0)), amount):
+        if amount is not None and amount > 0 and _hi_lt(hi.get(f, _ZERO), amount):
             if emit is not None:
                 verb = "exhale" if mode == "exhale" else "assert"
                 emit.append(Finding(
                     "VPR008",
                     f"{verb} of acc(..{f}, {amount}) but at most "
-                    f"{hi.get(f, Fraction(0))} permission to {f} can be "
+                    f"{hi.get(f, _ZERO)} permission to {f} can be "
                     f"held here",
                     CHECKS["VPR008"].severity,
                     method=method.name if method else None,
@@ -1070,35 +1069,78 @@ def _perm_assertion(
                 ))
         if mode == "exhale":
             if amount is not None:
-                hi[f] = _hi_sub(hi.get(f, Fraction(0)), amount)
+                hi[f] = _hi_sub(hi.get(f, _ZERO), amount)
             for key in list(lo):
                 if key[1] != f:
                     continue
                 if receiver is not None and amount is not None and key[0] == receiver:
-                    lo[key] = max(lo[key] - amount, Fraction(0))
+                    lo[key] = max(lo[key] - amount, _ZERO)
                 else:
                     del lo[key]  # an alias may have lost this permission
         else:  # assert: the state is unchanged, but on success we may
             # strengthen the location's lower bound.
             if receiver is not None and amount is not None:
                 key = (receiver, f)
-                lo[key] = max(lo.get(key, Fraction(0)), amount)
+                lo[key] = max(lo.get(key, _ZERO), amount)
         return _PermState.make(hi, lo)
     return state
 
 
+def _conjuncts(assertion: Assertion) -> List[Assertion]:
+    """The operands of a tree of separating conjunctions, left to right."""
+    parts: List[Assertion] = []
+    stack = [assertion]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SepConj):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
 def _perm_join(a: _PermState, b: _PermState) -> _PermState:
+    if a is b:
+        return a
     ahi, bhi = a.hi_map(), b.hi_map()
     hi: Dict[str, _PermHi] = {}
     for f in set(ahi) | set(bhi):
-        x, y = ahi.get(f, Fraction(0)), bhi.get(f, Fraction(0))
+        x, y = ahi.get(f, _ZERO), bhi.get(f, _ZERO)
         hi[f] = None if (x is None or y is None) else max(x, y)
     alo, blo = a.lo_map(), b.lo_map()
     lo = {
-        key: min(alo.get(key, Fraction(0)), blo.get(key, Fraction(0)))
+        key: min(alo.get(key, _ZERO), blo.get(key, _ZERO))
         for key in set(alo) | set(blo)
     }
     return _PermState.make(hi, lo)
+
+
+def _check_permissions(
+    method: MethodDecl, fields: Tuple[str, ...], cfg: CFG
+) -> List[Finding]:
+    """VPR008 over one method: the precondition's inhale, the fixpoint
+    (which collects the body's findings), then the postcondition's
+    exhale at the exit."""
+    findings: List[Finding] = []
+    # A contradictory precondition (lo > 1) is *not* reported: it makes the
+    # method vacuous (never callable), which the corpus uses deliberately —
+    # the body is simply skipped, like code behind `inhale false`.
+    entry_state = _perm_assertion(
+        _PermState.make({f: _ZERO for f in fields}, {}),
+        method.pre, "inhale", definite=True, report=findings,
+        method=method, line=method.pos, flag_inconsistency=False,
+    )
+    if entry_state is None:
+        return findings
+    flow = _PermissionFlow(fields, method, entry_state)
+    perm_in = run_forward(cfg, flow)
+    for index in sorted(flow.reports):
+        findings.extend(flow.reports[index])
+    if cfg.exit in perm_in:
+        _perm_assertion(perm_in[cfg.exit], method.post, "exhale", definite=True,
+                        report=findings, method=method, line=method.pos)
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -1115,11 +1157,7 @@ def analyze_program(program: Program) -> List[Finding]:
 
     mentioned_fields: Set[str] = set()
     for method in program.methods:
-        mentioned_fields |= _assertion_field_mentions(method.pre)
-        mentioned_fields |= _assertion_field_mentions(method.post)
-        if method.body is not None:
-            mentioned_fields |= _stmt_field_mentions(method.body, fields)
-        findings.extend(_analyze_method(method, fields))
+        findings.extend(_analyze_method(method, fields, mentioned_fields))
 
     # VPR006: unused fields (program-wide).
     for decl in program.fields:
@@ -1145,59 +1183,11 @@ def analyze_program(program: Program) -> List[Finding]:
     return ordered
 
 
-def _stmt_field_mentions(stmt: Stmt, fields: Tuple[str, ...]) -> Set[str]:
-    mentioned: Set[str] = set()
-
-    def walk(node: Stmt) -> None:
-        if isinstance(node, Seq):
-            walk(node.first)
-            walk(node.second)
-        elif isinstance(node, If):
-            mentioned.update(_all_expr_fields(node.cond))
-            walk(node.then)
-            walk(node.otherwise)
-        elif isinstance(node, While):
-            mentioned.update(_all_expr_fields(node.cond))
-            mentioned.update(_assertion_field_mentions(node.invariant))
-            walk(node.body)
-        elif isinstance(node, LocalAssign):
-            mentioned.update(_all_expr_fields(node.rhs))
-        elif isinstance(node, FieldAssign):
-            mentioned.add(node.field)
-            mentioned.update(_all_expr_fields(node.receiver))
-            mentioned.update(_all_expr_fields(node.rhs))
-        elif isinstance(node, MethodCall):
-            for arg in node.args:
-                mentioned.update(_all_expr_fields(arg))
-        elif isinstance(node, (Inhale, Exhale, AssertStmt)):
-            mentioned.update(_assertion_field_mentions(node.assertion))
-        elif isinstance(node, NewStmt):
-            mentioned.update(fields if node.all_fields else node.fields)
-
-    walk(stmt)
-    return mentioned
-
-
-def _collect_var_decls(stmt: Stmt) -> List[VarDecl]:
-    decls: List[VarDecl] = []
-
-    def walk(node: Stmt) -> None:
-        if isinstance(node, Seq):
-            walk(node.first)
-            walk(node.second)
-        elif isinstance(node, If):
-            walk(node.then)
-            walk(node.otherwise)
-        elif isinstance(node, While):
-            walk(node.body)
-        elif isinstance(node, VarDecl):
-            decls.append(node)
-
-    walk(stmt)
-    return decls
-
-
-def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding]:
+def _analyze_method(
+    method: MethodDecl, fields: Tuple[str, ...], mentioned_fields: Set[str]
+) -> List[Finding]:
+    """The findings of one method; adds the fields its specification and
+    body mention to ``mentioned_fields`` (VPR006 is program-wide)."""
     findings: List[Finding] = []
 
     # ---- VPR009(a): old() in a precondition ------------------------------
@@ -1211,7 +1201,13 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
             line=method.pos,
         ))
 
-    spec_reads = _assertion_reads(method.pre) | _assertion_reads(method.post)
+    spec_reads: Set[str] = set()
+    post_reads: Set[str] = set()
+    method_fields: Set[str] = set()
+    _assertion_facts(method.pre, spec_reads, method_fields)
+    _assertion_facts(method.post, post_reads, method_fields)
+    spec_reads |= post_reads
+    mentioned_fields |= method_fields
 
     if method.body is None:
         # Abstract method: only the signature checks apply.
@@ -1229,13 +1225,18 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
         return findings
 
     cfg = build_cfg(method.body)
+    _annotate(cfg, fields)
+    # CFG creation order is program-text order.
+    declarations = [node.stmt for node in cfg.nodes if isinstance(node.stmt, VarDecl)]
 
-    # ---- body-wide read/write sets --------------------------------------
+    # ---- body-wide read/write/mention sets ------------------------------
     body_reads: Set[str] = set()
     body_defs: Set[str] = set()
     for node in cfg.nodes:
-        body_reads |= _node_all_reads(node)
-        body_defs |= _node_defs(node)
+        body_reads |= node.reads
+        body_defs |= node.defs
+        method_fields |= node.fields
+    mentioned_fields |= method_fields
 
     # ---- VPR001/VPR002: definite assignment ------------------------------
     arg_names = frozenset(method.arg_names)
@@ -1243,12 +1244,12 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
     assignment = _DefiniteAssignment(arg_names)
     assigned_in = run_forward(cfg, assignment)
     reachable = set(assigned_in)
-    declared_locals = {d.name for d in _collect_var_decls(method.body)}
+    declared_locals = {d.name for d in declarations}
     for node in cfg.nodes:
         if node.index not in assigned_in:
             continue
         state = assigned_in[node.index]
-        for name in sorted(_node_checked_reads(node)):
+        for name in sorted(node.checked_reads):
             if name in state or _synthesized(name):
                 continue
             if name not in return_names and name not in declared_locals:
@@ -1262,7 +1263,6 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
                 line=node.pos,
                 subject=name,
             ))
-    post_reads = _assertion_reads(method.post)
     if cfg.exit in assigned_in:
         exit_state = assigned_in[cfg.exit]
         for name in sorted(return_names):
@@ -1282,7 +1282,7 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
             ))
 
     # ---- VPR003: unreachable code ---------------------------------------
-    report_reach = run_forward(cfg, _ReportReachability())
+    report_reach = _report_reachable(cfg)
     for node in cfg.nodes:
         if node.kind not in ("stmt", "branch", "loop-head"):
             continue
@@ -1304,7 +1304,7 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
 
     # ---- VPR004: dead stores --------------------------------------------
     exit_live = frozenset(return_names) | post_reads
-    live_out = run_liveness(cfg, _node_all_reads, _node_defs, exit_live)
+    live_out = run_liveness(cfg, attrgetter("reads"), attrgetter("defs"), exit_live)
     for node in cfg.nodes:
         stmt = node.stmt
         if not isinstance(stmt, LocalAssign) or node.kind != "stmt":
@@ -1333,8 +1333,8 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
     body_writes: Set[str] = set()
     for node in cfg.nodes:
         if not isinstance(node.stmt, VarDecl):
-            body_writes |= _node_defs(node)
-    for decl in _collect_var_decls(method.body):
+            body_writes |= node.defs
+    for decl in declarations:
         if _synthesized(decl.name):
             continue
         if decl.name in body_reads or decl.name in body_writes:
@@ -1350,11 +1350,8 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
         ))
 
     # ---- VPR007: unused arguments ---------------------------------------
-    invariant_reads: Set[str] = set()
-    for node in cfg.nodes:
-        if node.kind == "loop-head":
-            invariant_reads |= _assertion_reads(node.stmt.invariant)
-    used = spec_reads | body_reads | body_defs | invariant_reads
+    # (``body_reads`` includes every loop invariant's reads.)
+    used = spec_reads | body_reads | body_defs
     for name, _ in method.args:
         if name in used or _synthesized(name):
             continue
@@ -1368,32 +1365,9 @@ def _analyze_method(method: MethodDecl, fields: Tuple[str, ...]) -> List[Finding
         ))
 
     # ---- VPR008: permission flow ----------------------------------------
-    perm = _PermissionFlow(fields, method)
-    pre_report: List[Finding] = []
-    # A contradictory precondition (lo > 1) is *not* reported: it makes the
-    # method vacuous (never callable), which the corpus uses deliberately —
-    # the body is simply skipped, like code behind `inhale false`.
-    entry_state = _perm_assertion(
-        _PermState.make({f: Fraction(0) for f in fields}, {}),
-        method.pre, "inhale", definite=True, report=pre_report,
-        method=method, line=method.pos, flag_inconsistency=False,
-    )
-    findings.extend(pre_report)
-    if entry_state is not None:
-        perm_in = run_forward(cfg, perm)
-        perm_report: List[Finding] = []
-        for node in cfg.nodes:
-            if node.index not in perm_in:
-                continue
-            state = perm_in[node.index]
-            if node.kind == "exit":
-                _perm_assertion(state, method.post, "exhale", definite=True,
-                                report=perm_report, method=method,
-                                line=method.pos)
-            else:
-                _perm_node(node, state, fields, report=perm_report,
-                           method=method)
-        findings.extend(perm_report)
+    # Every VPR008 finding names a field its statement or spec mentions.
+    if method_fields:
+        findings.extend(_check_permissions(method, fields, cfg))
 
     # ---- VPR009(b): trivially-true asserts ------------------------------
     for node in cfg.stmt_nodes():

@@ -18,9 +18,11 @@ certification test-suite uses to validate simulation lemmas differentially.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from itertools import product
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..choice import ChoiceOracle, DefaultOracle
 from .ast import (
@@ -32,7 +34,6 @@ from .ast import (
     BBoolLit,
     BExpr,
     BIntLit,
-    BIf,
     BoogieProgram,
     BRealLit,
     BType,
@@ -49,9 +50,6 @@ from .ast import (
     Procedure,
     SimpleCmd,
     subst_type,
-    TVar,
-    TCon,
-    MapType,
 )
 from .cursor import Cursor
 from .interp import Interpretation, InterpretationError
@@ -135,141 +133,138 @@ class BoogieContext:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation (total)
+# Expression evaluation (total): compile once, then run
 # ---------------------------------------------------------------------------
+
+#: A compiled expression: a closure from a variable store to the value.
+Compiled = Callable[[Mapping[str, BValue]], BValue]
+
+_TRUE, _FALSE = BVBool(True), BVBool(False)
+_LITERALS = {BIntLit: BVInt, BRealLit: BVReal, BBoolLit: BVBool}
 
 
 def eval_bexpr(expr: BExpr, state: BoogieState, ctx: BoogieContext) -> BValue:
     """Evaluate a Boogie expression; total on well-typed input."""
-    if isinstance(expr, BVar):
-        return state.lookup(expr.name)
-    if isinstance(expr, BIntLit):
-        return BVInt(expr.value)
-    if isinstance(expr, BRealLit):
-        return BVReal(expr.value)
-    if isinstance(expr, BBoolLit):
-        return BVBool(expr.value)
-    if isinstance(expr, BUnOp):
-        operand = eval_bexpr(expr.operand, state, ctx)
+    return compile_bexpr(expr, ctx)(state.store)
+
+
+def compile_bexpr(expr: BExpr, ctx: BoogieContext) -> Compiled:
+    """Compile ``expr`` under ``ctx`` to nested closures over a store.
+
+    Compiling evaluates nothing and raises nothing: an unbound variable,
+    a missing function or carrier, or an ill-typed operand raises when,
+    and only when, evaluation reaches it.  Each type instance of a
+    quantifier body is compiled once; carriers are sampled once per
+    quantifier evaluation (docs/TRUSTED_BASE.md argues why this computes
+    the same function as walking the tree).
+    """
+    kind = type(expr)
+    if kind in _LITERALS:
+        value = _LITERALS[kind](expr.value)
+        return lambda env: value
+    if kind is BVar:  # an unbound variable raises KeyError
+        return operator.itemgetter(expr.name)
+    if kind is BUnOp:
+        operand = compile_bexpr(expr.operand, ctx)
         if expr.op is BUnOpKind.NOT:
-            return BVBool(not as_b_bool(operand))
-        if isinstance(operand, BVInt):
-            return BVInt(-operand.value)
-        return BVReal(-as_b_real(operand))
-    if isinstance(expr, BBinOp):
-        return _eval_binop(expr, state, ctx)
-    if isinstance(expr, CondB):
-        cond = eval_bexpr(expr.cond, state, ctx)
-        branch = expr.then if as_b_bool(cond) else expr.otherwise
-        return eval_bexpr(branch, state, ctx)
-    if isinstance(expr, FuncApp):
-        args = tuple(eval_bexpr(a, state, ctx) for a in expr.args)
-        return ctx.interp.apply(expr.name, expr.type_args, args)
-    if isinstance(expr, MapSelect):
-        map_value = eval_bexpr(expr.map, state, ctx)
-        key = tuple(eval_bexpr(i, state, ctx) for i in expr.indices)
-        payload = _map_payload(map_value)
-        if key not in payload:
-            raise InterpretationError(
-                "select on unstored key of a sugar-level polymorphic map; "
-                "run the polymap desugaring pass first"
-            )
-        return payload.get(key)
-    if isinstance(expr, MapStore):
-        map_value = eval_bexpr(expr.map, state, ctx)
-        key = tuple(eval_bexpr(i, state, ctx) for i in expr.indices)
-        value = eval_bexpr(expr.value, state, ctx)
-        payload = _map_payload(map_value)
-        return UValue("__map__", payload.set(key, value))
-    if isinstance(expr, Forall):
-        return BVBool(_eval_quant(expr, state, ctx, want_all=True))
-    if isinstance(expr, Exists):
-        return BVBool(_eval_quant(expr, state, ctx, want_all=False))
-    raise TypeError(f"unknown Boogie expression {expr!r}")
+            return lambda env: _FALSE if as_b_bool(operand(env)) else _TRUE
+        return lambda env: _negate(operand(env))
+    if kind is BBinOp:
+        left, right = compile_bexpr(expr.left, ctx), compile_bexpr(expr.right, ctx)
+        return _compile_binop(expr.op, left, right)
+    if kind is CondB:
+        cond = compile_bexpr(expr.cond, ctx)
+        then, otherwise = compile_bexpr(expr.then, ctx), compile_bexpr(expr.otherwise, ctx)
+        return lambda env: (then if as_b_bool(cond(env)) else otherwise)(env)
+    if kind is FuncApp:
+        return _compile_app(expr, ctx)
+    if kind is MapSelect or kind is MapStore:
+        return _compile_map(expr, ctx)
+    if kind is Forall or kind is Exists:
+        return _compile_quant(expr, ctx)
+
+    def unknown(env):
+        raise TypeError(f"unknown Boogie expression {expr!r}")
+
+    return unknown
 
 
-def _map_payload(value: BValue) -> FrozenMap:
-    if isinstance(value, UValue) and isinstance(value.payload, FrozenMap):
-        return value.payload
-    raise TypeError(f"expected a map value, got {value!r}")
+def _negate(value: BValue) -> BValue:
+    return BVInt(-value.value) if isinstance(value, BVInt) else BVReal(-as_b_real(value))
 
 
-def _eval_binop(expr: BBinOp, state: BoogieState, ctx: BoogieContext) -> BValue:
-    op = expr.op
+def _compile_binop(op: BBinOpKind, left: Compiled, right: Compiled) -> Compiled:
     # Boogie's logical operators are short-circuit in evaluation order, which
     # matters only for efficiency here — evaluation is total.
     if op is BBinOpKind.AND:
-        left = as_b_bool(eval_bexpr(expr.left, state, ctx))
-        return BVBool(left and as_b_bool(eval_bexpr(expr.right, state, ctx)))
+        return lambda env: _TRUE if as_b_bool(left(env)) and as_b_bool(right(env)) else _FALSE
     if op is BBinOpKind.OR:
-        left = as_b_bool(eval_bexpr(expr.left, state, ctx))
-        return BVBool(left or as_b_bool(eval_bexpr(expr.right, state, ctx)))
+        return lambda env: _TRUE if as_b_bool(left(env)) or as_b_bool(right(env)) else _FALSE
     if op is BBinOpKind.IMPLIES:
-        left = as_b_bool(eval_bexpr(expr.left, state, ctx))
-        return BVBool((not left) or as_b_bool(eval_bexpr(expr.right, state, ctx)))
+        return lambda env: _FALSE if as_b_bool(left(env)) and not as_b_bool(right(env)) else _TRUE
     if op is BBinOpKind.IFF:
-        left = as_b_bool(eval_bexpr(expr.left, state, ctx))
-        return BVBool(left == as_b_bool(eval_bexpr(expr.right, state, ctx)))
-    left = eval_bexpr(expr.left, state, ctx)
-    right = eval_bexpr(expr.right, state, ctx)
+        return lambda env: _TRUE if as_b_bool(left(env)) == as_b_bool(right(env)) else _FALSE
     if op is BBinOpKind.EQ:
-        return BVBool(_b_equal(left, right))
+        return lambda env: _TRUE if _b_equal(left(env), right(env)) else _FALSE
     if op is BBinOpKind.NE:
-        return BVBool(not _b_equal(left, right))
-    if op in (BBinOpKind.LT, BBinOpKind.LE, BBinOpKind.GT, BBinOpKind.GE):
-        lnum, rnum = _b_num(left), _b_num(right)
-        if op is BBinOpKind.LT:
-            return BVBool(lnum < rnum)
-        if op is BBinOpKind.LE:
-            return BVBool(lnum <= rnum)
-        if op is BBinOpKind.GT:
-            return BVBool(lnum > rnum)
-        return BVBool(lnum >= rnum)
-    if op is BBinOpKind.DIV:
-        divisor = as_b_int(right)
-        dividend = as_b_int(left)
-        if divisor == 0:
-            return BVInt(0)  # SMT-style total division: unspecified, fixed
-        return BVInt(_trunc_div(dividend, divisor))
-    if op is BBinOpKind.MOD:
-        divisor = as_b_int(right)
-        dividend = as_b_int(left)
-        if divisor == 0:
-            return BVInt(dividend)
-        return BVInt(dividend - divisor * _trunc_div(dividend, divisor))
-    if op is BBinOpKind.REAL_DIV:
-        denom = as_b_real(right)
-        if denom == 0:
-            return BVReal(Fraction(0))
-        return BVReal(as_b_real(left) / denom)
-    if isinstance(left, BVInt) and isinstance(right, BVInt):
-        if op is BBinOpKind.ADD:
-            return BVInt(left.value + right.value)
-        if op is BBinOpKind.SUB:
-            return BVInt(left.value - right.value)
-        if op is BBinOpKind.MUL:
-            return BVInt(left.value * right.value)
-    lnum, rnum = _b_num(left), _b_num(right)
-    if op is BBinOpKind.ADD:
-        return BVReal(lnum + rnum)
-    if op is BBinOpKind.SUB:
-        return BVReal(lnum - rnum)
-    if op is BBinOpKind.MUL:
-        return BVReal(lnum * rnum)
-    raise TypeError(f"unknown operator {op}")
+        return lambda env: _FALSE if _b_equal(left(env), right(env)) else _TRUE
+    apply = _STRICT_OPS[op]  # both operands, left first
+    return lambda env: apply(left(env), right(env))
+
+
+def _comparison(holds):
+    return lambda left, right: _TRUE if holds(_b_num(left), _b_num(right)) else _FALSE
+
+
+def _arithmetic(combine):
+    def apply(left: BValue, right: BValue) -> BValue:
+        if isinstance(left, BVInt) and isinstance(right, BVInt):
+            return BVInt(combine(left.value, right.value))
+        return BVReal(Fraction(combine(_b_num(left), _b_num(right))))
+
+    return apply
+
+
+def _b_div(left: BValue, right: BValue) -> BValue:
+    divisor, dividend = as_b_int(right), as_b_int(left)
+    # SMT-style total division: ``x div 0`` and ``x mod 0`` are unspecified, fixed.
+    return BVInt(_trunc_div(dividend, divisor) if divisor else 0)
+
+
+def _b_mod(left: BValue, right: BValue) -> BValue:
+    divisor, dividend = as_b_int(right), as_b_int(left)
+    return BVInt(dividend - divisor * _trunc_div(dividend, divisor) if divisor else dividend)
+
+
+def _b_real_div(left: BValue, right: BValue) -> BValue:
+    denom = as_b_real(right)
+    return BVReal(as_b_real(left) / denom if denom else Fraction(0))
+
+
+_STRICT_OPS = {
+    BBinOpKind.LT: _comparison(operator.lt),
+    BBinOpKind.LE: _comparison(operator.le),
+    BBinOpKind.GT: _comparison(operator.gt),
+    BBinOpKind.GE: _comparison(operator.ge),
+    BBinOpKind.ADD: _arithmetic(operator.add),
+    BBinOpKind.SUB: _arithmetic(operator.sub),
+    BBinOpKind.MUL: _arithmetic(operator.mul),
+    BBinOpKind.DIV: _b_div,
+    BBinOpKind.MOD: _b_mod,
+    BBinOpKind.REAL_DIV: _b_real_div,
+}
 
 
 def _b_equal(left: BValue, right: BValue) -> bool:
+    if type(left) is type(right):
+        return left == right
     both_numeric = isinstance(left, (BVInt, BVReal)) and isinstance(right, (BVInt, BVReal))
-    if both_numeric:
-        return _b_num(left) == _b_num(right)
-    return left == right
+    return _b_num(left) == _b_num(right) if both_numeric else left == right
 
 
-def _b_num(value: BValue) -> Fraction:
-    if isinstance(value, BVInt):
-        return Fraction(value.value)
-    if isinstance(value, BVReal):
+def _b_num(value: BValue) -> Union[int, Fraction]:
+    """A numeric value's number; ints and Fractions compare exactly."""
+    if isinstance(value, (BVInt, BVReal)):
         return value.value
     raise TypeError(f"expected a numeric Boogie value, got {value!r}")
 
@@ -279,28 +274,93 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _eval_quant(
-    expr: Union[Forall, Exists], state: BoogieState, ctx: BoogieContext, want_all: bool
-) -> bool:
-    """Evaluate a quantifier over sampled carriers (and the type universe)."""
-    type_assignments = _type_assignments(expr.type_vars, ctx)
-    for type_map in type_assignments:
-        bound = [
-            (name, subst_type(typ, type_map)) for name, typ in expr.bound
-        ]
-        body = substitute_type_args(expr.body, type_map)
-        if not _eval_value_quant(bound, body, state, ctx, want_all):
-            if want_all:
-                return False
-        else:
-            if not want_all:
-                return True
-    return want_all
+def _compile_args(exprs: Tuple[BExpr, ...], ctx: BoogieContext):
+    """One closure returning the tuple of the arguments' values."""
+    if len(exprs) > 1 and all(type(expr) is BVar for expr in exprs):
+        return operator.itemgetter(*(expr.name for expr in exprs))
+    parts = tuple(compile_bexpr(expr, ctx) for expr in exprs)
+    if len(parts) == 3:  # the heap and mask reads
+        a, b, c = parts
+        return lambda env: (a(env), b(env), c(env))
+    if len(parts) == 4:  # the heap and mask updates
+        a, b, c, d = parts
+        return lambda env: (a(env), b(env), c(env), d(env))
+    return lambda env: tuple([part(env) for part in parts])
+
+
+def _compile_app(expr: FuncApp, ctx: BoogieContext) -> Compiled:
+    name, type_args = expr.name, expr.type_args
+    args, interp = _compile_args(expr.args, ctx), ctx.interp
+    impl = interp.functions.get(name)
+    if impl is None:  # Interpretation.apply raises, after the arguments ran
+        return lambda env: interp.apply(name, type_args, args(env))
+    return lambda env: impl(type_args, args(env))
+
+
+def _compile_map(expr: Union[MapSelect, MapStore], ctx: BoogieContext) -> Compiled:
+    target, indices = compile_bexpr(expr.map, ctx), _compile_args(expr.indices, ctx)
+    if isinstance(expr, MapStore):
+        value = compile_bexpr(expr.value, ctx)
+
+        def store(env):
+            map_value, key, stored = target(env), indices(env), value(env)
+            return UValue("__map__", _map_payload(map_value).set(key, stored))
+
+        return store
+
+    def select(env):
+        map_value, key = target(env), indices(env)
+        payload = _map_payload(map_value)
+        if key not in payload:
+            raise InterpretationError(
+                "select on unstored key of a sugar-level polymorphic map; "
+                "run the polymap desugaring pass first"
+            )
+        return payload.get(key)
+
+    return select
+
+
+def _map_payload(value: BValue) -> FrozenMap:
+    if isinstance(value, UValue) and isinstance(value.payload, FrozenMap):
+        return value.payload
+    raise TypeError(f"expected a map value, got {value!r}")
+
+
+def _compile_quant(expr: Union[Forall, Exists], ctx: BoogieContext) -> Compiled:
+    """Quantify over the sampled carriers and the type universe: ``forall``
+    holds iff every type instance holds at every combination of carrier
+    values, ``exists`` iff one does; combinations are tried in the order
+    of a depth-first walk over the bound variables."""
+    want_all = isinstance(expr, Forall)
+    names = tuple(name for name, _ in expr.bound)
+    instances = [
+        (
+            tuple(subst_type(typ, type_map) for _, typ in expr.bound),
+            compile_bexpr(substitute_type_args(expr.body, type_map), ctx),
+        )
+        for type_map in _type_assignments(expr.type_vars, ctx)
+    ]
+    carrier_of = ctx.interp.carrier_of
+
+    def quantifier(env):
+        scope = dict(env)
+        for types, body in instances:
+            carriers = []
+            for typ in types:
+                carriers.append(tuple(carrier_of(typ)))
+                if not carriers[-1]:
+                    break  # an empty domain: later carriers are never sampled
+            for values in product(*carriers):
+                scope.update(zip(names, values))
+                if as_b_bool(body(scope)) != want_all:
+                    return _FALSE if want_all else _TRUE
+        return _TRUE if want_all else _FALSE
+
+    return quantifier
 
 
 def _type_assignments(type_vars: Tuple[str, ...], ctx: BoogieContext):
-    if not type_vars:
-        return [{}]
     assignments = [{}]
     for tvar in type_vars:
         assignments = [
@@ -309,22 +369,6 @@ def _type_assignments(type_vars: Tuple[str, ...], ctx: BoogieContext):
             for typ in ctx.interp.type_universe
         ]
     return assignments
-
-
-def _eval_value_quant(bound, body, state, ctx, want_all: bool) -> bool:
-    def recurse(index: int, current: BoogieState) -> bool:
-        if index == len(bound):
-            return as_b_bool(eval_bexpr(body, current, ctx))
-        name, typ = bound[index]
-        for value in ctx.interp.carrier_of(typ):
-            result = recurse(index + 1, current.set(name, value))
-            if want_all and not result:
-                return False
-            if not want_all and result:
-                return True
-        return want_all
-
-    return recurse(0, state)
 
 
 def substitute_type_args(expr: BExpr, type_map: dict) -> BExpr:

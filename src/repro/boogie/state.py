@@ -6,6 +6,7 @@ simulation relations are stated over.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, Mapping
 
 from .values import BValue
@@ -40,6 +41,10 @@ class BoogieState:
 
     def as_dict(self) -> Dict[str, BValue]:
         return dict(self._store)
+
+    @property
+    def store(self) -> Mapping[str, BValue]:
+        return MappingProxyType(self._store)  # read-only, not a copy
 
     def names(self) -> Iterator[str]:
         return iter(self._store)

@@ -43,49 +43,51 @@ class BVBool:
 
 
 class FrozenMap:
-    """An immutable, hashable finite partial map (carrier payload)."""
+    """An immutable, hashable finite partial map (carrier payload): a dict
+    with map equality; ``items()`` is sorted by key ``repr``, on first use."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_map", "_items", "_hash")
 
     def __init__(self, mapping: Mapping = ()):
-        items = dict(mapping)
-        self._items = tuple(sorted(items.items(), key=lambda kv: repr(kv[0])))
-        self._hash = hash(self._items)
+        self._map = dict(mapping)
+        self._items = None
+        self._hash = None
 
     def get(self, key, default=None):
-        for k, v in self._items:
-            if k == key:
-                return v
-        return default
+        return self._map.get(key, default)
 
     def __contains__(self, key) -> bool:
-        return any(k == key for k, _ in self._items)
+        return key in self._map
 
     def set(self, key, value) -> "FrozenMap":
-        items = {k: v for k, v in self._items}
-        items[key] = value
-        return FrozenMap(items)
+        updated = FrozenMap(self._map)
+        updated._map[key] = value
+        return updated
 
     def items(self) -> Tuple:
+        if self._items is None:
+            self._items = tuple(sorted(self._map.items(), key=lambda kv: repr(kv[0])))
         return self._items
 
     def keys(self) -> Iterator:
-        return (k for k, _ in self._items)
+        return (k for k, _ in self.items())
 
     def __iter__(self):
         return self.keys()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._map)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrozenMap) and self._items == other._items
+        return isinstance(other, FrozenMap) and self._map == other._map
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.items())
         return f"FrozenMap({{{inner}}})"
 
 

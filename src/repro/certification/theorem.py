@@ -66,7 +66,6 @@ class TheoremReport:
 def check_program_certificate(
     result: TranslationResult,
     certificate: ProgramCertificate,
-    check_axioms: bool = True,
 ) -> TheoremReport:
     """Check a full program certificate and assemble the final theorem."""
     start = time.perf_counter()
@@ -79,17 +78,14 @@ def check_program_certificate(
         report.error = f"Boogie program ill-typed: {error}"
         report.check_seconds = time.perf_counter() - start
         return report
-    if check_axioms:
-        interp = standard_interpretation(result.type_info.field_types)
-        consts = constant_valuation(result.background)
-        axiom_result = check_axioms_bounded(result.boogie_program, interp, consts)
-        report.axioms_ok = axiom_result.ok
-        if not axiom_result.ok:
-            report.error = f"axiom not satisfied by the model: {axiom_result.detail}"
-            report.check_seconds = time.perf_counter() - start
-            return report
-    else:
-        report.axioms_ok = True
+    interp = standard_interpretation(result.type_info.field_types)
+    consts = constant_valuation(result.background)
+    axiom_result = check_axioms_bounded(result.boogie_program, interp, consts)
+    report.axioms_ok = axiom_result.ok
+    if not axiom_result.ok:
+        report.error = f"axiom not satisfied by the model: {axiom_result.detail}"
+        report.check_seconds = time.perf_counter() - start
+        return report
     # 2. Per-method simulation proofs.
     checker = ProofChecker(
         result.viper_program, result.type_info, result.boogie_program

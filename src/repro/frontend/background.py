@@ -250,6 +250,8 @@ def _background_axioms() -> Tuple[AxiomDecl, ...]:
 # ---------------------------------------------------------------------------
 
 NULL_ADDRESS = 0
+_NO_PERM = Fraction(0)
+_FULL_PERM = Fraction(1)
 
 
 def to_boogie_value(value: Value) -> BValue:
@@ -367,23 +369,19 @@ def standard_interpretation(
             if boogie_type_of(field_types[name]) == wanted
         )
 
-    def heap_carrier(_type_args):
-        sample = [UValue("HeapType", FrozenMap())]
-        for name in field_names[:2]:
-            sample.append(
-                UValue("HeapType", FrozenMap({(1, name): _field_default(field_types, name)}))
-            )
-        return tuple(sample)
-
-    def mask_carrier(_type_args):
-        sample = [UValue("MaskType", FrozenMap())]
-        if field_names:
-            loc = (1, field_names[0])
-            sample.append(UValue("MaskType", FrozenMap({loc: Fraction(1)})))
-            sample.append(UValue("MaskType", FrozenMap({loc: Fraction(1, 2)})))
-            # An inconsistent mask keeps the GoodMask axiom non-vacuous.
-            sample.append(UValue("MaskType", FrozenMap({loc: Fraction(3, 2)})))
-        return tuple(sample)
+    # Heap and mask carriers ignore their type arguments: sample them once.
+    heaps = [UValue("HeapType", FrozenMap())]
+    for name in field_names[:2]:
+        heaps.append(
+            UValue("HeapType", FrozenMap({(1, name): _field_default(field_types, name)}))
+        )
+    masks = [UValue("MaskType", FrozenMap())]
+    if field_names:
+        loc = (1, field_names[0])
+        masks.append(UValue("MaskType", FrozenMap({loc: Fraction(1)})))
+        masks.append(UValue("MaskType", FrozenMap({loc: Fraction(1, 2)})))
+        # An inconsistent mask keeps the GoodMask axiom non-vacuous.
+        masks.append(UValue("MaskType", FrozenMap({loc: Fraction(3, 2)})))
 
     def read_heap(_targs, args):
         heap, ref, fld = args
@@ -401,8 +399,7 @@ def standard_interpretation(
     def read_mask(_targs, args):
         mask, ref, fld = args
         payload = _as_map(mask, "MaskType")
-        amount = payload.get((ref.payload, fld.payload), Fraction(0))
-        return BVReal(amount)
+        return BVReal(payload.get((ref.payload, fld.payload), _NO_PERM))
 
     def upd_mask(_targs, args):
         mask, ref, fld, value = args
@@ -413,7 +410,7 @@ def standard_interpretation(
 
     def good_mask(_targs, args):
         payload = _as_map(args[0], "MaskType")
-        return BVBool(all(Fraction(0) <= p <= Fraction(1) for _, p in payload.items()))
+        return BVBool(all(_NO_PERM <= p <= _FULL_PERM for _, p in payload.items()))
 
     def id_on_positive(_targs, args):
         h_payload = _as_map(args[0], "HeapType")
@@ -422,7 +419,7 @@ def standard_interpretation(
         keys = set(h_payload.keys()) | set(h2_payload.keys())
         for key in keys:
             address, field_name = key
-            if m_payload.get(key, Fraction(0)) > 0:
+            if m_payload.get(key, _NO_PERM) > 0:
                 default = _field_default(field_types, field_name)
                 if h_payload.get(key, default) != h2_payload.get(key, default):
                     return BVBool(False)
@@ -432,8 +429,8 @@ def standard_interpretation(
         carriers={
             "Ref": fixed_carrier(refs),
             "Field": field_carrier,
-            "HeapType": heap_carrier,
-            "MaskType": mask_carrier,
+            "HeapType": fixed_carrier(heaps),
+            "MaskType": fixed_carrier(masks),
         },
         functions={
             READ_HEAP: read_heap,

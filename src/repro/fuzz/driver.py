@@ -133,7 +133,6 @@ class FuzzConfig:
     oracle_boogie_paths: int = 2_000
     corpus_dir: str = "fuzz-corpus"
     minimize: bool = True
-    check_axioms: bool = False  # validated once per session by the tests
 
 
 @dataclass(frozen=True)
@@ -237,9 +236,7 @@ def _judge_mutation(
     except Exception as error:  # noqa: BLE001 - parser crash is a finding
         return "mutant-crash", f"reparse crash: {type(error).__name__}: {error}"
     try:
-        report = check_program_certificate(
-            mutation.result, certificate, check_axioms=False
-        )
+        report = check_program_certificate(mutation.result, certificate)
     except Exception as error:  # noqa: BLE001 - kernel crash is a finding
         return "mutant-crash", f"kernel crash: {type(error).__name__}: {error}"
     if not report.ok:
@@ -271,8 +268,7 @@ def _judge_mutation(
 
 
 def _check_unit_accounting(
-    ctx, case: FuzzCase, options: TranslationOptions,
-    cache: ArtifactCache, config: FuzzConfig,
+    ctx, case: FuzzCase, options: TranslationOptions, cache: ArtifactCache
 ) -> Tuple[Optional[str], str]:
     """Judge the incrementality layer against its own dependency map.
 
@@ -296,10 +292,7 @@ def _check_unit_accounting(
     # re-nests differently.
     canonical = pretty_program(ctx.program)
     try:
-        base = run_pipeline(
-            canonical, options=options, cache=cache,
-            check_axioms=config.check_axioms,
-        )
+        base = run_pipeline(canonical, options=options, cache=cache)
     except Exception as error:  # noqa: BLE001
         return (
             "unit-mismatch",
@@ -318,10 +311,7 @@ def _check_unit_accounting(
     if mutation.kind == "spec":
         expected |= set(callers_of(base.units, mutation.method))
     try:
-        warm = run_pipeline(
-            mutation.source, options=options, cache=cache,
-            check_axioms=config.check_axioms,
-        )
+        warm = run_pipeline(mutation.source, options=options, cache=cache)
     except Exception as error:  # noqa: BLE001 - inert edits must not crash
         return (
             "unit-mismatch",
@@ -370,10 +360,7 @@ def run_case(args: Tuple[FuzzConfig, FuzzCase]) -> CaseResult:
     #    the per-unit tier for the incremental-consistency check below.
     unit_cache = ArtifactCache()
     try:
-        ctx = run_pipeline(
-            case.source, options=options, check_axioms=config.check_axioms,
-            cache=unit_cache,
-        )
+        ctx = run_pipeline(case.source, options=options, cache=unit_cache)
     except PipelineError as error:
         result.clean_outcome = "crash"
         result.clean_detail = f"pipeline diagnostic: {error}"
@@ -411,7 +398,7 @@ def run_case(args: Tuple[FuzzConfig, FuzzCase]) -> CaseResult:
     # 3. Incremental consistency: unit-reuse accounting must match the
     #    dependency map for one inert single-method edit.
     result.unit_outcome, result.unit_detail = _check_unit_accounting(
-        ctx, case, options, unit_cache, config
+        ctx, case, options, unit_cache
     )
     # 4. One adversarial mutation (rotating start for class coverage).
     try:
@@ -456,7 +443,7 @@ def _clean_outcome_of(source: str, config: FuzzConfig, options_name: str) -> str
     """Re-classify a candidate source the way the driver would."""
     options = OPTION_VARIANTS[options_name]
     try:
-        ctx = run_pipeline(source, options=options, check_axioms=False)
+        ctx = run_pipeline(source, options=options)
     except Exception:  # noqa: BLE001 - classification, not judgement
         return "crash"
     if not ctx.report.ok:
@@ -488,7 +475,7 @@ def _mutant_cert_predicate(
         except Exception:  # noqa: BLE001
             return outcome == "mutant-crash"
         try:
-            report = check_program_certificate(result, certificate, check_axioms=False)
+            report = check_program_certificate(result, certificate)
         except Exception:  # noqa: BLE001
             return outcome == "mutant-crash"
         if outcome == "mutant-crash":
@@ -517,10 +504,7 @@ def minimize_failure(
     elif record.certificate_text is not None:
         try:
             ctx = run_pipeline(
-                record.source,
-                options=OPTION_VARIANTS[options_name],
-                upto="check",
-                check_axioms=False,
+                record.source, options=OPTION_VARIANTS[options_name], upto="check"
             )
             result = ctx.translation
         except Exception:  # noqa: BLE001 - keep the raw reproducer
@@ -767,11 +751,7 @@ def replay_record(
             mutator=record.mutator,
         )
         try:
-            ctx = run_pipeline(
-                record.source,
-                options=OPTION_VARIANTS[options_name],
-                check_axioms=False,
-            )
+            ctx = run_pipeline(record.source, options=OPTION_VARIANTS[options_name])
             subject = make_subject(ctx.translation)
             mutation = Mutation(
                 mutator=record.mutator,

@@ -145,6 +145,11 @@ def run_files(
     matches the input order, so parallel runs aggregate and render
     identically to serial runs (timings aside).
     """
+    # Load the analyzer, which the pipeline imports lazily, before fanning
+    # out: forked workers inherit it, so its import is start-up cost rather
+    # than the first file's analyze time.
+    from .. import analysis  # noqa: F401
+
     worker = functools.partial(run_file, options=options)
     return parallel_map(worker, files, jobs=jobs)
 

@@ -97,8 +97,6 @@ class PipelineContext:
     cache: Optional[ArtifactCache] = None
     #: Wrap substrate exceptions into PipelineError diagnostics?
     wrap_errors: bool = False
-    #: Check background axioms during the final theorem assembly.
-    check_axioms: bool = True
     #: Run the advisory static-analysis stage?  (Gates the stage; when
     #: False it is recorded as skipped, like a cache hit.)
     analyze: bool = True
@@ -327,9 +325,7 @@ def _stage_check(ctx: PipelineContext) -> None:
         if ctx.reparsed_certificate is not None
         else ctx.certificate
     )
-    ctx.report = check_program_certificate(
-        ctx.translation, certificate, check_axioms=ctx.check_axioms
-    )
+    ctx.report = check_program_certificate(ctx.translation, certificate)
 
 
 @dataclass(frozen=True)
@@ -530,7 +526,6 @@ def make_context(
     instrumentation: Optional[PipelineInstrumentation] = None,
     cache: Optional[ArtifactCache] = None,
     wrap_errors: bool = False,
-    check_axioms: bool = True,
     analyze: bool = True,
     analysis_strict: bool = False,
     unit_jobs: Optional[int] = None,
@@ -542,7 +537,6 @@ def make_context(
         instrumentation=instrumentation or PipelineInstrumentation(),
         cache=cache,
         wrap_errors=wrap_errors,
-        check_axioms=check_axioms,
         analyze=analyze,
         analysis_strict=analysis_strict,
         unit_jobs=unit_jobs,
@@ -557,7 +551,6 @@ def run_pipeline(
     instrumentation: Optional[PipelineInstrumentation] = None,
     cache: Optional[ArtifactCache] = None,
     wrap_errors: bool = False,
-    check_axioms: bool = True,
     analyze: bool = True,
     analysis_strict: bool = False,
     unit_jobs: Optional[int] = None,
@@ -574,7 +567,6 @@ def run_pipeline(
         instrumentation=instrumentation,
         cache=cache,
         wrap_errors=wrap_errors,
-        check_axioms=check_axioms,
         analyze=analyze,
         analysis_strict=analysis_strict,
         unit_jobs=unit_jobs,

@@ -300,7 +300,6 @@ def _handle(
     memory = _memory_cache()
     ctx = make_context(
         source, options, instrumentation=inst, cache=memory, wrap_errors=True,
-        check_axioms=bool(payload.get("check_axioms", True)),
         analyze=bool(payload.get("analyze", True)),
         analysis_strict=True,
     )
@@ -482,9 +481,7 @@ def _certify_from_unit_tier(ctx, inst):
         options=ctx.options,
     )
     with inst.stage("check"):
-        report = check_program_certificate(
-            translation, certificate, check_axioms=ctx.check_axioms
-        )
+        report = check_program_certificate(translation, certificate)
     ctx.boogie_text = boogie_text
     tier = "disk" if not rebuilt else "miss"
 
@@ -551,9 +548,7 @@ def _handle_certify(payload, ctx, inst, disk_key, in_memory) -> Dict[str, Any]:
                 options=ctx.options,
             )
             with inst.stage("check"):
-                report = check_program_certificate(
-                    translation, certificate, check_axioms=ctx.check_axioms
-                )
+                report = check_program_certificate(translation, certificate)
             certificate_text = entry.certificate_text
             ctx.boogie_text = entry.boogie_text
             if report.ok:

@@ -49,7 +49,7 @@ def test_generated_programs_are_well_typed(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_generated_programs_certify(seed):
     generated = generate_program(derive_seed(7, seed))
-    ctx = run_pipeline(generated.source, check_axioms=False)
+    ctx = run_pipeline(generated.source)
     assert ctx.report.ok, ctx.report.error
 
 
@@ -84,5 +84,5 @@ def test_feature_switches_prune_features():
 
 def test_seed_corpus_certifies():
     for source in SEED_CORPUS:
-        ctx = run_pipeline(source, check_axioms=False)
+        ctx = run_pipeline(source)
         assert ctx.report.ok, ctx.report.error

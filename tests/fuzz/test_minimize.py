@@ -71,7 +71,7 @@ def test_minimize_source_keeps_original_when_normalisation_heals():
 
 
 def test_minimize_cert_text_is_deterministic_and_minimal():
-    ctx = run_pipeline(generate_program(2).source, check_axioms=False)
+    ctx = run_pipeline(generate_program(2).source)
     text = ctx.certificate_text
     predicate = lambda t: "METHOD-BODY-SIM" in t
     minimized = minimize_cert_text(text, predicate)

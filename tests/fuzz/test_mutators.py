@@ -31,11 +31,7 @@ _SUBJECTS = {}
 
 def _subject(options_name: str):
     if options_name not in _SUBJECTS:
-        ctx = run_pipeline(
-            SEED_CORPUS[0],
-            options=OPTION_VARIANTS[options_name],
-            check_axioms=False,
-        )
+        ctx = run_pipeline(SEED_CORPUS[0], options=OPTION_VARIANTS[options_name])
         assert ctx.report.ok
         _SUBJECTS[options_name] = make_subject(ctx.translation)
     return _SUBJECTS[options_name]
