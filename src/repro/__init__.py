@@ -67,7 +67,7 @@ from .pipeline import (  # noqa: F401
     run_pipeline,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 
 def translate_source(source, options=None, **kwargs):

@@ -312,6 +312,7 @@ def _bench_reports(
     re-measures exactly what it will compare.
     """
     from .harness import bench_report, full_corpus, run_files, suite_files
+    from .perf import HOST_REFERENCE_KEY, HostReference
 
     corpus = {suite: suite_files(suite)} if suite else full_corpus()
     selected = {}
@@ -326,11 +327,16 @@ def _bench_reports(
         return []
     reports = []
     for _ in range(max(samples, 1)):
-        per_suite = {
-            suite_name: run_files(files, jobs=jobs)
-            for suite_name, files in selected.items()
-        }
-        reports.append(bench_report(per_suite, jobs=jobs))
+        # The host's speed while this sample ran: what `bench diff`
+        # calibrates by.
+        with HostReference() as host:
+            per_suite = {
+                suite_name: run_files(files, jobs=jobs)
+                for suite_name, files in selected.items()
+            }
+        report = bench_report(per_suite, jobs=jobs)
+        report["meta"][HOST_REFERENCE_KEY] = host.median()
+        reports.append(report)
     return reports
 
 
@@ -363,7 +369,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
     regression(s), 2 = nothing comparable / unreadable history.
     """
     from .perf import (
-        CompareConfig,
         HistoryError,
         attribution_from_diff,
         compare_reports,
@@ -402,18 +407,9 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
             args.suite, args.limit, args.samples, args.jobs, names=covered
         )
         current_fp = environment_fingerprint()
-    config = CompareConfig(
-        noise_floor=args.noise_floor,
-        min_seconds=args.min_seconds,
-        bootstrap=args.bootstrap,
-        confidence=args.confidence,
-        calibrate=args.calibrate,
-        seed=args.seed,
-    )
     diff = compare_reports(
         base_reports,
         current_reports,
-        config,
         suite=args.suite,
         base_fingerprint=base_fp,
         current_fingerprint=current_fp,
@@ -582,8 +578,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_sample=args.trace_sample,
         trace_rate=args.trace_rate,
         trace_seed=args.trace_seed,
-        perf_baseline=args.perf_baseline,
-        perf_window=args.perf_window,
     )
     return run_server(config)
 
@@ -792,28 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="(record) the history file to append to "
                             "(default: benchmarks/results/history/"
                             "history.jsonl)")
-    bench.add_argument("--noise-floor", type=float, default=0.5, metavar="F",
-                       help="(diff) page only when the whole confidence "
-                            "interval sits above 1+F (default: 0.5, i.e. "
-                            "a provable 1.5× median ratio)")
-    bench.add_argument("--min-seconds", type=float, default=0.005,
-                       metavar="S",
-                       help="(diff) skip (file, stage) pairs whose medians "
-                            "are both under S — sub-noise-quantum timings "
-                            "carry no signal (default: 0.005)")
-    bench.add_argument("--bootstrap", type=int, default=400, metavar="B",
-                       help="(diff) bootstrap resamples per comparison "
-                            "(default: 400)")
-    bench.add_argument("--confidence", type=float, default=0.95, metavar="C",
-                       help="(diff) central CI mass (default: 0.95)")
-    bench.add_argument("--calibrate", choices=["auto", "on", "off"],
-                       default="auto",
-                       help="(diff) cross-machine calibration by the median "
-                            "stage ratio: auto = when environment "
-                            "fingerprints differ (default: auto)")
-    bench.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="(diff) root seed of the deterministic "
-                            "bootstrap (default: 0)")
     fuzz = sub.add_parser("fuzz",
                           help="adversarially fuzz the certification kernel")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N",
@@ -884,13 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-seed", type=int, default=0, metavar="N",
                        help="salt for the deterministic trace sampler "
                             "(default: 0)")
-    serve.add_argument("--perf-baseline", metavar="PATH",
-                       help="a bench history JSONL ('repro bench record' "
-                            "output); enables GET /v1/perf drift ratios and "
-                            "the repro_stage_seconds_baseline_ratio gauges")
-    serve.add_argument("--perf-window", type=int, default=256, metavar="N",
-                       help="per-request stage timings kept in the rolling "
-                            "perf window (default: 256)")
     loadgen = sub.add_parser("loadgen",
                              help="replay the corpus against a running server")
     loadgen.add_argument("--host", default="127.0.0.1")

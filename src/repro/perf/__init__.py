@@ -11,19 +11,20 @@ This package gives the reproduction a memory of its own performance:
 
 * :mod:`repro.perf.history` — an append-only JSONL baseline store under
   ``benchmarks/results/history/``: each record is one ``bench --json``
-  document plus an environment fingerprint and a content digest
+  document, with the host's reference-loop speed sampled while it ran,
+  plus an environment fingerprint and a content digest
   (``repro bench record``);
 * :mod:`repro.perf.compare` — the statistical comparator behind
   ``repro bench diff``: per-file, per-stage bootstrap confidence
-  intervals on the median ratio, with a noise floor and cross-machine
-  calibration so a cold CI runner does not page on jitter;
+  intervals on the median ratio, with a noise floor, calibrated by the
+  two sides' host references so a slower machine does not page;
 * :mod:`repro.perf.attribute` — when a file regresses, names the guilty
   stage(s), renders a side-by-side flame-tree diff (reusing the
   :mod:`repro.trace.summarize` tree), and wires deterministic
-  ``cProfile`` capture around one pipeline run (``repro perf profile``);
-* :mod:`repro.perf.window` — the serving tie-in: a rolling window of
-  per-request stage timings behind ``GET /v1/perf`` and the
-  ``repro_stage_seconds_baseline_ratio`` gauges.
+  ``cProfile`` capture around one pipeline run (``repro perf profile``).
+
+A running server's per-stage view is the ``repro_stage_seconds{stage}``
+histograms on ``/metrics`` (:mod:`repro.service.metrics`).
 """
 
 from .attribute import (  # noqa: F401
@@ -35,7 +36,6 @@ from .attribute import (  # noqa: F401
     spans_from_file_record,
 )
 from .compare import (  # noqa: F401
-    CompareConfig,
     DiffReport,
     FileDiff,
     StageDelta,
@@ -47,8 +47,10 @@ from .compare import (  # noqa: F401
 from .history import (  # noqa: F401
     DEFAULT_HISTORY_DIR,
     DEFAULT_HISTORY_FILE,
+    HOST_REFERENCE_KEY,
     HistoryError,
     HistoryRecord,
+    HostReference,
     append_record,
     environment_fingerprint,
     latest_record,
@@ -56,34 +58,26 @@ from .history import (  # noqa: F401
     read_history,
     report_digest,
 )
-from .window import (  # noqa: F401
-    RollingStageWindow,
-    baseline_stage_medians,
-    load_baseline,
-    stage_medians_from_report,
-)
 
 __all__ = [
-    "CompareConfig",
     "DEFAULT_HISTORY_DIR",
     "DEFAULT_HISTORY_FILE",
     "DiffReport",
     "FileDiff",
+    "HOST_REFERENCE_KEY",
     "HistoryError",
     "HistoryRecord",
-    "RollingStageWindow",
+    "HostReference",
     "STAGE_FIELDS",
     "StageDelta",
     "append_record",
     "attribution_from_diff",
-    "baseline_stage_medians",
     "bootstrap_ratio_ci",
     "compare_reports",
     "environment_fingerprint",
     "file_records",
     "flame_diff_lines",
     "latest_record",
-    "load_baseline",
     "make_record",
     "profile_source",
     "read_history",
@@ -91,5 +85,4 @@ __all__ = [
     "report_digest",
     "representative_record",
     "spans_from_file_record",
-    "stage_medians_from_report",
 ]

@@ -14,15 +14,17 @@ and a real 2× stage slowdown must.  The comparator therefore works on
   recompute the ratio, take the central quantiles) — deterministic for
   a fixed input, so repeated CI invocations agree;
 * a ``(file, stage)`` pair regresses only when the *lower* CI bound
-  clears ``1 + noise_floor`` — the whole interval must sit above the
+  clears ``1 + NOISE_FLOOR`` — the whole interval must sit above the
   floor, so one jittery sample cannot page;
-* pairs where both medians sit under ``min_seconds`` are skipped:
+* pairs where both medians sit under ``MIN_SECONDS`` are skipped:
   sub-noise-quantum timings carry no signal;
-* when the two environment fingerprints disagree (a baseline recorded
-  on a developer machine, diffed on a CI runner) the ratios are
-  **calibrated** by the median ratio across all stage pairs (``total``
-  excluded — it is the sum of the others), so only *relative* shifts in
-  the stage mix page, not the absolute speed of the hardware.
+* every ratio is **calibrated** by the host, not by the measurement:
+  each report's ``meta`` carries the median time of a fixed reference
+  loop sampled while it ran (:mod:`repro.perf.history`), and the ratios
+  are divided by current reference / base reference.  A slower machine
+  moves the loop and the stages alike; a slower stage moves only the
+  stage, however much of the run it makes up.  Reports without a
+  reference are compared with factor 1.0.
 
 The exit-code contract mirrors ``repro lint`` / ``repro tcb check``:
 0 = no regression, 1 = regression(s), 2 = nothing comparable.
@@ -35,6 +37,8 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .history import HOST_REFERENCE_KEY
 
 #: The per-file stages the comparator sees, mapped onto the
 #: ``FileMetrics`` fields of one ``bench --json`` file row.  ``generate``
@@ -52,33 +56,17 @@ STAGE_FIELDS: Tuple[Tuple[str, str], ...] = (
 FileKey = Tuple[str, str]
 
 
-@dataclass
-class CompareConfig:
-    """Tunables of one diff; the defaults are the CI gate's policy."""
-
-    #: A stage pages only when its whole CI sits above ``1 + noise_floor``
-    #: (default: a calibrated median ratio provably above 1.5×).
-    noise_floor: float = 0.5
-    #: Pairs where both medians are under this are skipped as noise.
-    min_seconds: float = 0.005
-    #: Bootstrap resamples per (file, stage) pair.
-    bootstrap: int = 400
-    #: Central CI mass (0.95 → the 2.5%/97.5% quantiles).
-    confidence: float = 0.95
-    #: ``auto`` calibrates when fingerprints differ; ``on``/``off`` force.
-    calibrate: str = "auto"
-    #: Root seed of the deterministic bootstrap.
-    seed: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "noise_floor": self.noise_floor,
-            "min_seconds": self.min_seconds,
-            "bootstrap": self.bootstrap,
-            "confidence": self.confidence,
-            "calibrate": self.calibrate,
-            "seed": self.seed,
-        }
+#: A stage pages only when its whole CI sits above ``1 + NOISE_FLOOR``
+#: (a calibrated median ratio provably above 1.5×).
+NOISE_FLOOR = 0.5
+#: Pairs where both medians are under this are skipped as noise.
+MIN_SECONDS = 0.005
+#: Bootstrap resamples per (file, stage) pair.
+BOOTSTRAP = 400
+#: Central CI mass (0.95 → the 2.5%/97.5% quantiles).
+CONFIDENCE = 0.95
+#: Root seed of the deterministic bootstrap.
+SEED = 0
 
 
 def file_records(
@@ -231,7 +219,6 @@ class DiffReport:
 
     files: List[FileDiff]
     calibration: Dict[str, object]
-    config: CompareConfig
     missing_in_current: List[str] = field(default_factory=list)
     missing_in_base: List[str] = field(default_factory=list)
     base_info: Dict[str, object] = field(default_factory=dict)
@@ -265,7 +252,6 @@ class DiffReport:
             "schema": 1,
             "ok": self.ok,
             "exit_code": self.exit_code,
-            "config": self.config.to_dict(),
             "calibration": dict(self.calibration),
             "base": dict(self.base_info),
             "current": dict(self.current_info),
@@ -288,11 +274,15 @@ class DiffReport:
         """The human-readable diff table plus the verdict line."""
         lines: List[str] = []
         cal = self.calibration
-        if cal.get("applied"):
+        if cal["applied"]:
             lines.append(
-                f"calibration: ×{cal['factor']:.3f} "
-                f"({cal.get('reason', 'forced')}) — ratios below are relative"
+                f"calibration: ×{cal['factor']:.3f} (host reference "
+                f"{cal['current_reference_seconds'] * 1e6:.0f} µs now, "
+                f"{cal['base_reference_seconds'] * 1e6:.0f} µs at the baseline)"
+                " — ratios below are divided by it"
             )
+        else:
+            lines.append("calibration: none (a side has no host reference)")
         header = (
             f"{'file':<28} {'stage':<10} {'base ms':>10} {'curr ms':>10} "
             f"{'ratio':>7} {'ci':>15}  verdict"
@@ -326,7 +316,7 @@ class DiffReport:
                     f"stage(s) {guilty}"
                 )
         else:
-            floor = 1.0 + self.config.noise_floor
+            floor = 1.0 + NOISE_FLOOR
             lines.append(
                 f"no regressions: {self.compared_pairs} stage comparisons, "
                 f"all CIs below the ×{floor:.2f} floor"
@@ -334,27 +324,45 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _fingerprints_comparable(
-    base: Mapping[str, object], current: Mapping[str, object]
-) -> bool:
-    """Same machine class?  Version/git drift is fine; hardware is not."""
-    if not base or not current:
-        return True  # nothing to compare against: assume same machine
-    keys = ("platform", "machine", "cpu_count", "python", "implementation")
-    return all(base.get(k) == current.get(k) for k in keys)
+def _host_reference(reports: Sequence[Mapping[str, object]]) -> Optional[float]:
+    """The median host-reference seconds of the reports that carry one."""
+    values = [
+        float(value)
+        for value in ((r.get("meta") or {}).get(HOST_REFERENCE_KEY) for r in reports)
+        if isinstance(value, (int, float)) and value > 0
+    ]
+    return statistics.median(values) if values else None
+
+
+def _calibration(
+    base_reports: Sequence[Mapping[str, object]],
+    current_reports: Sequence[Mapping[str, object]],
+) -> Dict[str, object]:
+    """The machine factor: current host reference over the baseline's.
+
+    1.0, with ``applied`` false, when either side has no reference (a
+    history recorded before references existed, or a synthetic report).
+    """
+    base_ref = _host_reference(base_reports)
+    current_ref = _host_reference(current_reports)
+    applied = base_ref is not None and current_ref is not None
+    return {
+        "applied": applied,
+        "factor": current_ref / base_ref if applied else 1.0,
+        "base_reference_seconds": base_ref,
+        "current_reference_seconds": current_ref,
+    }
 
 
 def compare_reports(
     base_reports: Sequence[Mapping[str, object]],
     current_reports: Sequence[Mapping[str, object]],
-    config: Optional[CompareConfig] = None,
     *,
     suite: Optional[str] = None,
     base_fingerprint: Optional[Mapping[str, object]] = None,
     current_fingerprint: Optional[Mapping[str, object]] = None,
 ) -> DiffReport:
     """Compare two sample sets of bench reports, file by file, stage by stage."""
-    config = config or CompareConfig()
     base_rows = file_records(base_reports, suite=suite)
     current_rows = file_records(current_reports, suite=suite)
     shared = sorted(set(base_rows) & set(current_rows))
@@ -364,51 +372,8 @@ def compare_reports(
     missing_in_base = sorted(
         f"{s}/{n}" for s, n in set(current_rows) - set(base_rows)
     )
-
-    base_fp = dict(base_fingerprint or {})
-    current_fp = dict(current_fingerprint or {})
-    if config.calibrate == "on":
-        applied, reason = True, "forced (--calibrate on)"
-    elif config.calibrate == "off":
-        applied, reason = False, "disabled (--calibrate off)"
-    else:
-        applied = not _fingerprints_comparable(base_fp, current_fp)
-        reason = (
-            "environment fingerprints differ (cross-machine diff)"
-            if applied
-            else "same machine class"
-        )
-
-    # Per-pair medians first: the calibration factor is the median ratio
-    # across all real stage pairs ("total" excluded — it is the sum of
-    # the others and would double-weight any shift).
-    medians: Dict[Tuple[FileKey, str], Tuple[float, float, int, int]] = {}
-    for key in shared:
-        base_samples = _stage_samples(base_rows[key])
-        current_samples = _stage_samples(current_rows[key])
-        for stage, _ in STAGE_FIELDS:
-            b, c = base_samples[stage], current_samples[stage]
-            if not b or not c:
-                continue
-            medians[(key, stage)] = (
-                statistics.median(b),
-                statistics.median(c),
-                len(b),
-                len(c),
-            )
-
-    factor = 1.0
-    if applied:
-        ratios = [
-            c / b
-            for (key, stage), (b, c, _, _) in medians.items()
-            if stage != "total" and b >= config.min_seconds / 4 and c > 0
-        ]
-        if ratios:
-            factor = statistics.median(ratios)
-        if factor <= 0:
-            factor = 1.0
-    calibration = {"applied": applied, "factor": factor, "reason": reason}
+    cal = _calibration(base_reports, current_reports)
+    factor = cal["factor"]
 
     files: List[FileDiff] = []
     for key in shared:
@@ -417,42 +382,42 @@ def compare_reports(
         current_samples = _stage_samples(current_rows[key])
         deltas: Dict[str, StageDelta] = {}
         for stage, _ in STAGE_FIELDS:
-            if (key, stage) not in medians:
+            b, c = base_samples[stage], current_samples[stage]
+            if not b or not c:
                 continue
-            base_med, cur_med, n_base, n_cur = medians[(key, stage)]
-            skipped = max(base_med, cur_med) < config.min_seconds
+            base_med, cur_med = statistics.median(b), statistics.median(c)
+            skipped = max(base_med, cur_med) < MIN_SECONDS
             ratio = cur_med / base_med if base_med > 0 else float("inf")
             ci_low, ci_high = bootstrap_ratio_ci(
-                base_samples[stage],
-                current_samples[stage],
-                resamples=config.bootstrap,
-                confidence=config.confidence,
-                seed=_pair_seed(config.seed, suite_name, name, stage),
+                b,
+                c,
+                resamples=BOOTSTRAP,
+                confidence=CONFIDENCE,
+                seed=_pair_seed(SEED, suite_name, name, stage),
             )
-            calibrated = ratio / factor
             cal_low, cal_high = ci_low / factor, ci_high / factor
-            regressed = (not skipped) and cal_low > 1.0 + config.noise_floor
             deltas[stage] = StageDelta(
                 stage=stage,
                 base_median=base_med,
                 current_median=cur_med,
                 ratio=ratio,
-                calibrated_ratio=calibrated,
+                calibrated_ratio=ratio / factor,
                 ci_low=cal_low,
                 ci_high=cal_high,
-                regressed=regressed,
+                regressed=(not skipped) and cal_low > 1.0 + NOISE_FLOOR,
                 skipped=skipped,
-                base_samples=n_base,
-                current_samples=n_cur,
+                base_samples=len(b),
+                current_samples=len(c),
             )
         files.append(FileDiff(suite=suite_name, name=name, stages=deltas))
 
     return DiffReport(
         files=files,
-        calibration=calibration,
-        config=config,
+        calibration=cal,
         missing_in_current=missing_in_current,
         missing_in_base=missing_in_base,
-        base_info={"fingerprint": base_fp, "samples": len(base_reports)},
-        current_info={"fingerprint": current_fp, "samples": len(current_reports)},
+        base_info={"fingerprint": dict(base_fingerprint or {}),
+                   "samples": len(base_reports)},
+        current_info={"fingerprint": dict(current_fingerprint or {}),
+                      "samples": len(current_reports)},
     )

@@ -7,13 +7,21 @@ One history file is a JSONL sequence of *records*; one record is one
 ``bench --json`` document plus just enough context to compare it later:
 
 * an **environment fingerprint** (repro version, python version,
-  platform, CPU count, ``git describe``) so a diff knows whether two
-  records came from comparable machines — the comparator
-  (:mod:`repro.perf.compare`) auto-calibrates when they did not;
+  platform, CPU count, ``git describe``) that says where a record came
+  from;
 * a **content digest** (SHA-256 over the canonical JSON of the report)
   so a truncated or hand-edited baseline is detected at read time
   instead of silently skewing a comparison;
 * an optional **label** and a wall-clock timestamp.
+
+The host's speed is measured during the run, not once: a shared host
+drifts by up to 2× in spells of seconds to minutes.  While each sample
+runs, a :class:`HostReference` times a fixed pure-Python loop (dict,
+string, tuple and sort operations that call nothing of the pipeline)
+every :data:`REFERENCE_INTERVAL` seconds, and the median lands in the
+report's ``meta`` under :data:`HOST_REFERENCE_KEY`.  A slower host moves
+both the loop and the stages; a slower stage moves only the stage.  The
+comparator divides by the ratio of the two sides' references.
 
 Records are append-only: ``repro bench record`` only ever adds lines, so
 the checked-in baselines under ``benchmarks/results/history/`` keep
@@ -27,8 +35,10 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -39,6 +49,11 @@ SCHEMA_VERSION = 1
 #: Where ``repro bench record`` appends by default (relative to the cwd).
 DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "results", "history")
 DEFAULT_HISTORY_FILE = os.path.join(DEFAULT_HISTORY_DIR, "history.jsonl")
+
+#: The report ``meta`` key of the median reference-loop seconds.
+HOST_REFERENCE_KEY = "host_reference_seconds"
+#: Seconds between two timings of the reference loop during a sample.
+REFERENCE_INTERVAL = 0.01
 
 
 class HistoryError(ValueError):
@@ -84,6 +99,48 @@ def environment_fingerprint() -> Dict[str, object]:
         "cpu_count": os.cpu_count() or 1,
         "git_describe": _git_describe(),
     }
+
+
+def reference_seconds() -> float:
+    """Seconds one run of the fixed reference loop takes now."""
+    started = time.perf_counter()
+    counts: Dict[str, int] = {}
+    pairs = []
+    for number in range(300):
+        key = f"k{number % 37}"
+        counts[key] = counts.get(key, 0) + number
+        pairs.append((key, number * 3 % 11))
+    pairs.sort()
+    return time.perf_counter() - started
+
+
+class HostReference:
+    """Times :func:`reference_seconds` before, every
+    :data:`REFERENCE_INTERVAL` seconds during, and after a ``with`` block,
+    on a thread of its own.  A timing holds the interpreter lock for one
+    loop, a fraction of a millisecond and a small share of the interval."""
+
+    def __init__(self) -> None:
+        self.samples: List[float] = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+
+    def __enter__(self) -> "HostReference":
+        self.samples.append(reference_seconds())
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join()
+        self.samples.append(reference_seconds())
+
+    def _sample(self) -> None:
+        while not self._stop.wait(REFERENCE_INTERVAL):
+            self.samples.append(reference_seconds())
+
+    def median(self) -> float:
+        return statistics.median(self.samples)
 
 
 def canonical_json(payload: object) -> str:

@@ -164,7 +164,7 @@ class ServiceMetrics:
         """Register a callable sampled at render time.
 
         The same gauge name may be registered once per label set (e.g.
-        ``repro_stage_seconds_baseline_ratio{stage="..."}``).
+        ``repro_build_info{version="..."}``).
         """
         with self._lock:
             if help:

@@ -14,7 +14,6 @@ Endpoints::
     POST /v1/batch      {"requests": [<certify/translate bodies>...]}
     GET  /healthz       liveness + drain state + pool/cache stats
     GET  /metrics       Prometheus text format
-    GET  /v1/perf       rolling per-stage timings + baseline drift ratios
 
 Status codes: 200 verdicts (including kernel *rejections* — those are
 application results, carried as ``ok: false``), 400 malformed requests,
@@ -108,12 +107,6 @@ class ServerConfig:
     trace_rate: float = 0.0
     #: Salt for the deterministic hash-rate sampler.
     trace_seed: int = 0
-    #: A bench history JSONL (``repro bench record`` output); enables the
-    #: ``GET /v1/perf`` drift ratios against its per-stage medians and the
-    #: ``repro_stage_seconds_baseline_ratio`` gauges.
-    perf_baseline: Optional[str] = None
-    #: Per-request stage timings kept in the rolling perf window.
-    perf_window: int = 256
 
 
 class CertificationService:
@@ -156,37 +149,7 @@ class CertificationService:
                 rate=self.config.trace_rate,
                 seed=self.config.trace_seed,
             )
-        self.perf_window = self._make_perf_window()
         self._register_gauges()
-
-    def _make_perf_window(self) -> "RollingStageWindow":
-        """The rolling per-request stage window (advisory, always on).
-
-        The baseline load is best-effort: a missing or corrupt history
-        file logs and leaves the window baseline-less (ratios render as
-        nan) instead of refusing to serve — perf drift reporting must
-        never take certification down.
-        """
-        from ..perf import HistoryError, RollingStageWindow, load_baseline
-
-        baseline: Dict[str, float] = {}
-        info: Dict[str, Any] = {}
-        if self.config.perf_baseline:
-            try:
-                baseline, fingerprint = load_baseline(self.config.perf_baseline)
-                info = {
-                    "path": self.config.perf_baseline,
-                    "fingerprint": fingerprint,
-                }
-            except (OSError, HistoryError) as error:
-                info = {"path": self.config.perf_baseline, "error": str(error)}
-                if not self.config.quiet:
-                    print(f"perf baseline unavailable: {error}")
-        return RollingStageWindow(
-            maxlen=self.config.perf_window,
-            baseline=baseline,
-            baseline_info=info,
-        )
 
     # -- metrics wiring ----------------------------------------------------
 
@@ -220,14 +183,6 @@ class CertificationService:
             "repro_draining", lambda: 1.0 if self.admission.draining else 0.0,
             "1 while the service is draining for shutdown.",
         )
-        for stage in sorted(self.perf_window.baseline):
-            m.register_gauge(
-                "repro_stage_seconds_baseline_ratio",
-                (lambda s=stage: self.perf_window.ratio(s)),
-                "Rolling median stage seconds over the recorded baseline "
-                "median (nan = no window data yet).",
-                labels={"stage": stage},
-            )
 
     def _hit_rate(self) -> float:
         if not self._cache_lookups:
@@ -244,7 +199,6 @@ class CertificationService:
             help="Cache tier outcomes per request (memory/disk/miss).",
         )
         self.metrics.record_stage_seconds(response.get("stage_seconds", {}))
-        self.perf_window.observe(response.get("stage_seconds", {}))
         self.metrics.record_worker_counters(response.get("counters", {}))
         unit_cache = response.get("unit_cache")
         if unit_cache:
@@ -445,12 +399,10 @@ class CertificationService:
                 result = await self._handle_single(request, "certify")
             elif route == ("POST", "/v1/translate"):
                 result = await self._handle_single(request, "translate")
-            elif route == ("GET", "/v1/perf"):
-                result = self._json(200, self.perf_window.snapshot())
             elif route == ("POST", "/v1/batch"):
                 result = await self._handle_batch(request)
             elif request.path in ("/healthz", "/metrics", "/v1/certify",
-                                  "/v1/translate", "/v1/batch", "/v1/perf"):
+                                  "/v1/translate", "/v1/batch"):
                 result = self._json(405, {"ok": False, "error": "method not allowed"})
             else:
                 result = self._json(404, {"ok": False, "error": f"no route {request.path}"})

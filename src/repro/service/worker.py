@@ -381,6 +381,46 @@ def _store_units_to_disk(ctx) -> None:
         )
 
 
+def _check_served(ctx, inst, boogie_text, certificate_text, background,
+                  methods, quarantine):
+    """The trusted path over texts a disk tier served: reparse both, run
+    the kernel, then promote an accepted result into the memory tier or
+    ``quarantine(reason)`` the served entries.
+
+    Returns ``(report, translation)``, or ``None`` when a parser refuses
+    a text — corrupt or poisoned past the digest check — so the caller
+    falls through to the next tier instead of failing the request.
+    """
+    try:
+        with inst.stage("reparse"):
+            boogie_program = parse_boogie_program(boogie_text)
+            certificate = parse_program_certificate(certificate_text)
+    except Exception as error:
+        quarantine(f"unparseable artifact: {error}")
+        return None
+    translation = TranslationResult(
+        viper_program=ctx.program,
+        type_info=ctx.type_info,
+        background=background,
+        boogie_program=boogie_program,
+        methods=methods,
+        options=ctx.options,
+    )
+    with inst.stage("check"):
+        report = check_program_certificate(translation, certificate)
+    ctx.boogie_text = boogie_text
+    if report.ok:
+        # Promote into the memory tier so the next request in this worker
+        # skips the reparse as well.
+        ctx.cache.put_translation(ctx.key, translation)
+        ctx.cache.put_certificate_text(ctx.key, certificate_text)
+    else:
+        # A served artifact the kernel refuses is corrupt or poisoned:
+        # quarantine it so the next request recomputes.
+        quarantine(f"kernel rejected: {report.error}")
+    return report, translation
+
+
 def _certify_from_unit_tier(ctx, inst):
     """Resolve a certify request method-by-method against the disk unit tier.
 
@@ -458,38 +498,21 @@ def _certify_from_unit_tier(ctx, inst):
             blocks[m.name] for m in ctx.program.methods
         )
 
-    try:
-        with inst.stage("reparse"):
-            boogie_program = parse_boogie_program(boogie_text)
-            certificate = parse_program_certificate(certificate_text)
-    except Exception as error:
-        # A served envelope holds text the parsers refuse: poisoned or
-        # corrupt past the digest check.  Quarantine every served unit and
-        # fall back to the full pipeline.
+    def quarantine(reason):
+        # Any served envelope may be the poisoned one: quarantine them all.
         for name in served:
-            _DISK_CACHE.quarantine_unit(
-                ctx.unit_keys[name], reason=f"unparseable unit artifact: {error}"
-            )
-        return None
+            _DISK_CACHE.quarantine_unit(ctx.unit_keys[name], reason=reason)
 
-    translation = TranslationResult(
-        viper_program=ctx.program,
-        type_info=ctx.type_info,
-        background=background,
-        boogie_program=boogie_program,
-        methods=fresh,
-        options=ctx.options,
+    checked = _check_served(
+        ctx, inst, boogie_text, certificate_text, background, fresh, quarantine
     )
-    with inst.stage("check"):
-        report = check_program_certificate(translation, certificate)
-    ctx.boogie_text = boogie_text
+    if checked is None:
+        return None
+    report, translation = checked
     tier = "disk" if not rebuilt else "miss"
 
     if report.ok:
-        # Promote the assembled whole-file artifacts into the memory tier
-        # and write the rebuilt units through to the disk tier.
-        ctx.cache.put_translation(ctx.key, translation)
-        ctx.cache.put_certificate_text(ctx.key, certificate_text)
+        # Write the rebuilt units and the assembled file through to disk.
         for method in rebuilt:
             _DISK_CACHE.store_unit(
                 ctx.unit_keys[method.name],
@@ -505,14 +528,6 @@ def _certify_from_unit_tier(ctx, inst):
                 (ctx.key[0], options_digest(ctx.options)),
                 {"boogie_text": boogie_text, "certificate_text": certificate_text},
             )
-    else:
-        # The kernel refused the assembled certificate.  Any served
-        # envelope may be the poisoned one: quarantine them all so the
-        # next request recomputes from scratch.
-        for name in served:
-            _DISK_CACHE.quarantine_unit(
-                ctx.unit_keys[name], reason=f"kernel rejected: {report.error}"
-            )
     return report, translation, certificate_text, tier
 
 
@@ -525,9 +540,18 @@ def _handle_certify(payload, ctx, inst, disk_key, in_memory) -> Dict[str, Any]:
     if not in_memory and _DISK_CACHE is not None:
         with inst.cache_lookup():
             entry = _DISK_CACHE.load(disk_key)
+        checked = None
         if entry is not None and entry.boogie_text and entry.certificate_text:
             # Disk hit: skip the untrusted stages, but *re-derive* the
             # trusted verdict — re-parse both artifacts and run the kernel.
+            checked = _check_served(
+                ctx, inst, entry.boogie_text, entry.certificate_text,
+                build_background(ctx.type_info.field_types), {},
+                lambda reason: _DISK_CACHE.quarantine(disk_key, reason=reason),
+            )
+        if checked is not None:
+            report, translation = checked
+            certificate_text = entry.certificate_text
             tier = "disk"
             inst.increment("cache.disk.hit")
             for skipped in ("translate", "generate", "render"):
@@ -536,34 +560,11 @@ def _handle_certify(payload, ctx, inst, disk_key, in_memory) -> Dict[str, Any]:
             for name in ctx.unit_keys or {}:
                 inst.record_unit(name, "translate", reused=True, tier="disk")
                 inst.record_unit(name, "generate", reused=True, tier="disk")
-            with inst.stage("reparse"):
-                boogie_program = parse_boogie_program(entry.boogie_text)
-                certificate = parse_program_certificate(entry.certificate_text)
-            translation = TranslationResult(
-                viper_program=ctx.program,
-                type_info=ctx.type_info,
-                background=build_background(ctx.type_info.field_types),
-                boogie_program=boogie_program,
-                methods={},
-                options=ctx.options,
-            )
-            with inst.stage("check"):
-                report = check_program_certificate(translation, certificate)
-            certificate_text = entry.certificate_text
-            ctx.boogie_text = entry.boogie_text
-            if report.ok:
-                # Promote into the memory tier so the next request in this
-                # worker skips the Boogie re-parse as well.
-                ctx.cache.put_translation(ctx.key, translation)
-                ctx.cache.put_certificate_text(ctx.key, certificate_text)
-            else:
-                # A cached artifact the kernel refuses is corrupt or
-                # poisoned: quarantine it so the next request recomputes.
-                _DISK_CACHE.quarantine(disk_key, reason=f"kernel rejected: {report.error}")
         else:
             inst.increment("cache.disk.miss")
-            # The whole file missed (it was edited): resolve method units
-            # individually so only the edited units re-run untrusted work.
+            # The whole file missed (it was edited, or its entry was
+            # unparseable): resolve method units individually so only the
+            # edited units re-run untrusted work.
             if ctx.unit_keys:
                 resolved = _certify_from_unit_tier(ctx, inst)
                 if resolved is not None:

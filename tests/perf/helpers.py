@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
+from repro.perf import HOST_REFERENCE_KEY
+
 #: Nominal per-stage seconds of one synthetic corpus file — shaped like
 #: a real mid-size Viper file (check dominates, generate is tiny).
 BASE_STAGES = {
@@ -90,13 +92,21 @@ def synth_report(
     files: Sequence[str] = ("a", "b", "c"),
     jitter: float = 0.05,
     scale: Optional[Dict[str, float]] = None,
+    reference: Optional[float] = None,
 ) -> Dict[str, object]:
-    """One ``bench --json``-shaped report over synthetic Viper files."""
+    """One ``bench --json``-shaped report over synthetic Viper files;
+    ``reference`` is the host-reference seconds stamped into ``meta``
+    (none by default, as in a history recorded before references)."""
     rows = [
         synth_file_row(name, rng, jitter=jitter, scale=scale) for name in files
     ]
+    meta: Dict[str, object] = {
+        "python": "3.11.0", "platform": "synthetic", "jobs": None,
+    }
+    if reference is not None:
+        meta[HOST_REFERENCE_KEY] = reference
     return {
-        "meta": {"python": "3.11.0", "platform": "synthetic", "jobs": None},
+        "meta": meta,
         "suites": {"Viper": {"files": rows, "aggregate": {}}},
         "overall": {},
         "blowup_factor": 4.0,
@@ -112,10 +122,12 @@ def synth_samples(
     files: Sequence[str] = ("a", "b", "c"),
     jitter: float = 0.05,
     scale: Optional[Dict[str, float]] = None,
+    reference: Optional[float] = None,
 ) -> List[Dict[str, object]]:
     """``count`` independent sample reports from one seeded RNG."""
     rng = random.Random(seed)
     return [
-        synth_report(rng, files=files, jitter=jitter, scale=scale)
+        synth_report(rng, files=files, jitter=jitter, scale=scale,
+                     reference=reference)
         for _ in range(count)
     ]

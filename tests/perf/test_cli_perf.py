@@ -16,7 +16,12 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.perf import append_record, make_record, read_history
+from repro.perf import (
+    HOST_REFERENCE_KEY,
+    append_record,
+    make_record,
+    read_history,
+)
 
 from .helpers import synth_samples
 
@@ -59,6 +64,10 @@ class TestBenchRecord:
         assert len(records) == 2
         assert all(r.label == "ci" for r in records)
         assert all(r.fingerprint["cpu_count"] >= 1 for r in records)
+        # Each sample carries the host's speed while it ran.
+        assert all(
+            r.report["meta"][HOST_REFERENCE_KEY] > 0 for r in records
+        )
         files = records[0].report["suites"]["MPP"]["files"]
         assert len(files) == 1
 
@@ -208,6 +217,32 @@ class TestBenchDiffLive:
         assert all(
             r["guilty_stages"][0] == "translate"
             for r in payload["regressions"]
+        )
+
+
+    def test_injected_check_delay_exits_one_and_names_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # check is most of every file's time: a slower check must page,
+        # not be mistaken for a slower machine.  The first file of the CI
+        # gate's Viper subset, as the perf-gate job injects it.
+        out = tmp_path / "hist.jsonl"
+        assert main([
+            "bench", "record", "--suite", "Viper", "--limit", "1",
+            "--samples", "2", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_STAGE_DELAY", "check=0.05")
+        code = main([
+            "bench", "diff", str(out), "--suite", "Viper", "--limit", "1",
+            "--samples", "2", "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["calibration"]["applied"]
+        assert payload["regressions"]
+        assert all(
+            r["guilty_stages"][0] == "check" for r in payload["regressions"]
         )
 
 

@@ -1,5 +1,6 @@
 """Comparator calibration: zero false positives under jitter, guaranteed
-detection and exact-stage attribution of a seeded 2× slowdown."""
+detection and exact-stage attribution of a seeded 2× slowdown, and a
+machine factor taken from the host references, never from the stages."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import random
 import pytest
 
 from repro.perf import (
-    CompareConfig,
     bootstrap_ratio_ci,
     compare_reports,
     file_records,
@@ -17,11 +17,11 @@ from repro.perf import (
 from .helpers import synth_samples
 
 
-def _diff(base_seed, current_seed, *, scale=None, samples=3, config=None,
-          jitter=0.05, **kwargs):
+def _diff(base_seed, current_seed, *, scale=None, samples=3, jitter=0.05,
+          **kwargs):
     base = synth_samples(base_seed, samples, jitter=jitter)
     current = synth_samples(current_seed, samples, jitter=jitter, scale=scale)
-    return compare_reports(base, current, config, **kwargs)
+    return compare_reports(base, current, **kwargs)
 
 
 class TestBootstrapCI:
@@ -126,17 +126,21 @@ class TestSeededSlowdown:
 
 class TestFiltersAndExitCodes:
     def test_sub_floor_timings_are_skipped(self):
-        # Shrink every stage under the 5 ms absolute floor: nothing is
-        # comparable, which is exit 2, not a confident "no regression".
+        # Shrink every stage, and so the total, under the 5 ms absolute
+        # floor: nothing is comparable, which is exit 2, not a confident
+        # "no regression" — even though every stage doubled.
         tiny = {field: 0.01 for field in (
             "translate_seconds", "generate_seconds", "check_seconds",
             "analyze_seconds",
         )}
         base = synth_samples(51, 3, scale=tiny)
         current = synth_samples(52, 3, scale={k: 2 * v for k, v in tiny.items()})
-        diff = compare_reports(
-            base, current, CompareConfig(min_seconds=10.0)
+        assert all(
+            row["total_seconds"] < 0.005
+            for report in base + current
+            for row in report["suites"]["Viper"]["files"]
         )
+        diff = compare_reports(base, current)
         assert diff.compared_pairs == 0
         assert diff.exit_code == 2
 
@@ -162,17 +166,22 @@ class TestFiltersAndExitCodes:
         assert first == second
 
 
+#: An idle host's reference-loop time (seconds).
+REFERENCE = 150e-6
+
+EVERY_STAGE = ("translate_seconds", "generate_seconds", "check_seconds",
+               "analyze_seconds")
+
+
 class TestCalibration:
     def test_uniform_machine_speedup_is_calibrated_away(self):
         # The "current machine" is uniformly 3× slower (a laptop vs a CI
-        # runner).  With differing fingerprints, auto-calibration must
-        # normalise the ratios and page on nothing.
-        everything = {field: 3.0 for field in (
-            "translate_seconds", "generate_seconds", "check_seconds",
-            "analyze_seconds",
-        )}
-        base = synth_samples(91, 3)
-        current = synth_samples(92, 3, scale=everything)
+        # runner), and its reference loop says so: the ratios are divided
+        # by the factor and nothing pages.
+        everything = {field: 3.0 for field in EVERY_STAGE}
+        base = synth_samples(91, 3, reference=REFERENCE)
+        current = synth_samples(92, 3, scale=everything,
+                                reference=3 * REFERENCE)
         diff = compare_reports(
             base,
             current,
@@ -180,15 +189,16 @@ class TestCalibration:
             current_fingerprint={"platform": "machine-B", "cpu_count": 2},
         )
         assert diff.calibration["applied"]
-        assert diff.calibration["factor"] == pytest.approx(3.0, rel=0.15)
+        assert diff.calibration["factor"] == pytest.approx(3.0)
+        assert diff.calibration["base_reference_seconds"] == REFERENCE
+        assert diff.calibration["current_reference_seconds"] == 3 * REFERENCE
         assert diff.exit_code == 0
+        assert "calibration: ×3.000" in diff.render()
 
     def test_single_stage_slowdown_survives_calibration(self):
-        # Calibration must not hide a real one-stage regression: the
-        # factor is the median over stages, so one inflated stage of
-        # four leaves the factor ≈ 1.
-        base = synth_samples(93, 3)
-        current = synth_samples(94, 3, scale={"translate_seconds": 2.5})
+        base = synth_samples(93, 3, reference=REFERENCE)
+        current = synth_samples(94, 3, scale={"translate_seconds": 2.5},
+                                reference=REFERENCE)
         diff = compare_reports(
             base,
             current,
@@ -196,36 +206,50 @@ class TestCalibration:
             current_fingerprint={"platform": "machine-B"},
         )
         assert diff.calibration["applied"]
-        assert diff.calibration["factor"] == pytest.approx(1.0, rel=0.1)
+        assert diff.calibration["factor"] == pytest.approx(1.0)
         assert diff.exit_code == 1
         assert all(
             f.guilty_stages[0] == "translate" for f in diff.regressions
         )
 
-    def test_matching_fingerprints_do_not_calibrate(self):
-        fp = {"platform": "same", "machine": "x86_64", "cpu_count": 4,
-              "python": "3.11.0", "implementation": "CPython"}
+    def test_dominant_stage_slowdown_is_not_calibrated_away(self):
+        # Shaped like the checked-in baseline: only check clears 1.25 ms,
+        # every other stage is sub-millisecond.  A factor taken from the
+        # stages themselves would be check's own 2.5× and hide it; the
+        # host references say the machines run alike.
+        shape = {"translate_seconds": 0.02, "generate_seconds": 0.02,
+                 "analyze_seconds": 0.02, "check_seconds": 0.1}
+        slow = dict(shape, check_seconds=0.25)
+        base = synth_samples(95, 3, scale=shape, reference=REFERENCE)
+        current = synth_samples(96, 3, scale=slow, reference=REFERENCE)
         diff = compare_reports(
-            synth_samples(95, 2), synth_samples(96, 2),
-            base_fingerprint=fp, current_fingerprint=fp,
+            base,
+            current,
+            base_fingerprint={"platform": "machine-A", "cpu_count": 1},
+            current_fingerprint={"platform": "machine-B", "cpu_count": 2},
         )
-        assert not diff.calibration["applied"]
-        assert diff.calibration["factor"] == 1.0
+        assert diff.calibration["factor"] == pytest.approx(1.0)
+        assert diff.exit_code == 1
+        assert len(diff.regressions) == 3
+        assert all(f.guilty_stages == ["check"] for f in diff.regressions)
 
-    def test_calibrate_off_disables_it_even_cross_machine(self):
-        everything = {field: 3.0 for field in (
-            "translate_seconds", "check_seconds", "generate_seconds",
-            "analyze_seconds",
-        )}
-        diff = compare_reports(
-            synth_samples(97, 2),
-            synth_samples(98, 2, scale=everything),
-            CompareConfig(calibrate="off"),
-            base_fingerprint={"platform": "A"},
-            current_fingerprint={"platform": "B"},
-        )
-        assert not diff.calibration["applied"]
-        assert diff.exit_code == 1  # the raw 3× pages without calibration
+    def test_report_without_reference_diffs_with_factor_one(self):
+        # A history recorded before references existed: raw ratios.
+        everything = {field: 3.0 for field in EVERY_STAGE}
+        for base_ref, current_ref in ((None, None), (REFERENCE, None),
+                                      (None, REFERENCE)):
+            diff = compare_reports(
+                synth_samples(97, 2, reference=base_ref),
+                synth_samples(98, 2, scale=everything, reference=current_ref),
+            )
+            assert diff.calibration == {
+                "applied": False,
+                "factor": 1.0,
+                "base_reference_seconds": base_ref,
+                "current_reference_seconds": current_ref,
+            }
+            assert diff.exit_code == 1  # the raw 3× pages uncalibrated
+            assert "calibration: none" in diff.render()
 
 
 class TestFileRecords:

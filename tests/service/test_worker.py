@@ -133,6 +133,28 @@ class TestKernelIsNeverCached:
         disk = DiskCache(disk_worker)
         assert list(disk.quarantine_dir.glob("*.bad"))
 
+    def test_unparseable_entry_is_quarantined_and_falls_through(
+        self, disk_worker
+    ):
+        """A digest-valid whole-file entry whose Boogie text the parser
+        refuses: the request still gets a verdict from the next tier, and
+        the entry is quarantined instead of failing every request."""
+        mine = certify(include_boogie=True, include_certificate=True)
+        assert mine["ok"]
+        self._poison(disk_worker, {
+            "boogie_text": mine["boogie"] + "\nprocedure ;\n",
+            "certificate_text": mine["certificate"],
+        })
+        for _ in range(2):  # across restarts, not just once
+            worker.configure({"cache_dir": str(disk_worker)})
+            response = certify()
+            assert response["status"] == 200
+            assert response["ok"] is True
+            assert "check" in response["stage_seconds"]
+        disk = DiskCache(disk_worker)
+        (reason,) = disk.quarantine_dir.glob("*.reason")
+        assert "unparseable artifact" in reason.read_text()
+
     def test_poisoned_unit_envelope_is_rejected_quarantined_recomputed(
         self, disk_worker
     ):

@@ -137,8 +137,11 @@ class TestUntracedRequests:
 
 
 class TestErrorTraces:
-    def test_504_persists_an_error_trace(self, tmp_path):
+    def test_504_persists_an_error_trace(self, tmp_path, monkeypatch):
         # A deadline the pipeline cannot meet: every certify times out.
+        # The parse delay makes the job outlast it, so a fast worker
+        # thread cannot finish before the event loop's deadline fires.
+        monkeypatch.setenv("REPRO_STAGE_DELAY", "parse=0.05")
         config = _config(
             trace_dir=str(tmp_path), request_timeout=0.0001, drain_grace=0.5
         )
