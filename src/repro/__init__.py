@@ -27,7 +27,7 @@ The subpackages:
 * :mod:`repro.viper` — Viper substrate (AST, parser, typechecker, big-step
   semantics with permissions, bounded correctness checking),
 * :mod:`repro.boogie` — Boogie substrate (AST, typechecker, small-step
-  continuation semantics, polymorphic-map desugaring, wlp back-end),
+  continuation semantics, the partial-map model of Sec. 4.4, wlp back-end),
 * :mod:`repro.frontend` — the Viper-to-Boogie translation with hint
   instrumentation (the system under validation),
 * :mod:`repro.certification` — the paper's contribution: certificate
@@ -67,7 +67,7 @@ from .pipeline import (  # noqa: F401
     run_pipeline,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 
 def translate_source(source, options=None, **kwargs):

@@ -15,7 +15,7 @@ The subsystem is three layers:
   statement forms (including the extension statements ``while`` and
   ``new`` *before* desugaring, so findings cite the source the programmer
   wrote), plus a generic forward-dataflow engine (worklist, lattice join,
-  widening) and a backward liveness solver;
+  widening) and a backward liveness query;
 * :mod:`repro.analysis.checks` — the catalog of checks with stable IDs
   (``VPR001`` …), each producing :class:`~repro.analysis.checks.Finding`
   values;
@@ -32,7 +32,7 @@ only reports *provable* facts and the fuzz generator doubles as a
 zero-false-positive oracle.
 """
 
-from .cfg import CFG, CFGNode, ForwardAnalysis, build_cfg, run_forward, run_liveness
+from .cfg import CFG, CFGNode, ForwardAnalysis, build_cfg, live_after, run_forward
 from .checks import ALL_CHECK_IDS, CHECKS, CheckInfo, Finding, analyze_program
 from .report import (
     AnalysisError,
@@ -50,8 +50,8 @@ __all__ = [
     "CFGNode",
     "ForwardAnalysis",
     "build_cfg",
+    "live_after",
     "run_forward",
-    "run_liveness",
     "ALL_CHECK_IDS",
     "CHECKS",
     "CheckInfo",

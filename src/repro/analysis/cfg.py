@@ -24,8 +24,8 @@ semilattice supplied by the client analysis:
   widened instead of joined, which bounds iteration for infinite-height
   lattices (the permission-interval abstraction of ``checks.py``).
 
-A small backward liveness solver (``run_liveness``) rides along for the
-dead-store check; it shares the CFG and the worklist discipline.
+A backward liveness query (``live_after``) rides along for the
+dead-store check.
 
 Clients may attach per-node facts to :class:`CFGNode` objects as
 attributes; a CFG lives exactly as long as one method's analysis.
@@ -69,21 +69,28 @@ class CFG:
 
     def __init__(self) -> None:
         self.nodes: List[CFGNode] = []
-        self.succs: Dict[int, List[Tuple[int, EdgeLabel]]] = {}
-        self.preds: Dict[int, List[Tuple[int, EdgeLabel]]] = {}
+        #: Outgoing edges, indexed by node index.
+        self.succs: List[List[Tuple[int, EdgeLabel]]] = []
         self.entry: int = -1
         self.exit: int = -1
+        self._preds: Optional[List[List[Tuple[int, EdgeLabel]]]] = None
+
+    @property
+    def preds(self) -> List[List[Tuple[int, EdgeLabel]]]:
+        """Incoming edges, indexed by node index: derived from ``succs`` on
+        first use, once the graph is built (few analyses need them)."""
+        if self._preds is None:
+            self._preds = [[] for _ in self.nodes]
+            for src, edges in enumerate(self.succs):
+                for dst, label in edges:
+                    self._preds[dst].append((src, label))
+        return self._preds
 
     def add_node(self, kind: str, stmt: Optional[object] = None) -> int:
         index = len(self.nodes)
         self.nodes.append(CFGNode(index, kind, stmt))
-        self.succs[index] = []
-        self.preds[index] = []
+        self.succs.append([])
         return index
-
-    def add_edge(self, src: int, dst: int, label: EdgeLabel = None) -> None:
-        self.succs[src].append((dst, label))
-        self.preds[dst].append((src, label))
 
     def stmt_nodes(self) -> List[CFGNode]:
         """All nodes carrying an atomic statement, in creation order
@@ -104,32 +111,48 @@ def build_cfg(body: Stmt) -> CFG:
     frontier: List[Tuple[int, EdgeLabel]] = [(cfg.entry, None)]
     frontier = _extend(cfg, body, frontier)
     cfg.exit = cfg.add_node("exit")
-    for src, label in frontier:
-        cfg.add_edge(src, cfg.exit, label)
+    _connect(cfg, frontier, cfg.exit)
     return cfg
 
 
 def _connect(
     cfg: CFG, frontier: List[Tuple[int, EdgeLabel]], node: int
 ) -> None:
+    succs = cfg.succs
     for src, label in frontier:
-        cfg.add_edge(src, node, label)
+        succs[src].append((node, label))
+
+
+def flatten_seq(stmt: Stmt) -> List[Stmt]:
+    """The statements of a tree of ``Seq`` nodes, in program order."""
+    stmts, stack = [], [stmt]
+    while stack:
+        stmt = stack.pop()
+        if type(stmt) is Seq:
+            stack.append(stmt.second)
+            stack.append(stmt.first)
+        else:
+            stmts.append(stmt)
+    return stmts
 
 
 def _extend(
     cfg: CFG, stmt: Stmt, frontier: List[Tuple[int, EdgeLabel]]
 ) -> List[Tuple[int, EdgeLabel]]:
-    if isinstance(stmt, Skip):
+    kind = type(stmt)
+    if kind is Seq:
+        for part in flatten_seq(stmt):
+            frontier = _extend(cfg, part, frontier)
         return frontier
-    if isinstance(stmt, Seq):
-        return _extend(cfg, stmt.second, _extend(cfg, stmt.first, frontier))
-    if isinstance(stmt, If):
+    if kind is Skip:
+        return frontier
+    if kind is If:
         branch = cfg.add_node("branch", stmt)
         _connect(cfg, frontier, branch)
         then_frontier = _extend(cfg, stmt.then, [(branch, True)])
         else_frontier = _extend(cfg, stmt.otherwise, [(branch, False)])
         return then_frontier + else_frontier
-    if isinstance(stmt, While):
+    if kind is While:
         head = cfg.add_node("loop-head", stmt)
         _connect(cfg, frontier, head)
         body_frontier = _extend(cfg, stmt.body, [(head, True)])
@@ -193,23 +216,25 @@ def run_forward(
     how many times a node is re-joined before widening kicks in (only
     loop heads can be revisited, via back edges).
     """
+    nodes, succs = cfg.nodes, cfg.succs
+    transfer, transfer_edge = analysis.transfer, analysis.transfer_edge
     in_states: Dict[int, object] = {cfg.entry: analysis.initial()}
     visits: Dict[int, int] = {}
     worklist: Deque[int] = deque((cfg.entry,))
     while worklist:
         index = worklist.popleft()
-        state = in_states.get(index)
+        state = in_states[index]
         if state is None:
             continue
-        node = cfg.nodes[index]
-        out = analysis.transfer(node, state)
+        node = nodes[index]
+        out = transfer(node, state)
         if out is None:
             continue
-        for succ, label in cfg.succs[index]:
+        for succ, label in succs[index]:
             if label is None:
                 edge_state = out
             else:
-                edge_state = analysis.transfer_edge(node, out, label)
+                edge_state = transfer_edge(node, out, label)
             if edge_state is None:
                 continue
             if succ not in in_states:
@@ -233,42 +258,40 @@ def run_forward(
 # ---------------------------------------------------------------------------
 
 
-def run_liveness(
+def live_after(
     cfg: CFG,
+    index: int,
+    name: str,
     uses: Callable[[CFGNode], FrozenSet[str]],
     defs: Callable[[CFGNode], FrozenSet[str]],
     exit_live: FrozenSet[str],
-) -> Dict[int, FrozenSet[str]]:
-    """Classic backward may-liveness; returns the live-*out* set per node.
+) -> bool:
+    """Classic backward may-liveness of one variable after one node.
 
-    ``uses(n)``/``defs(n)`` give the variables a node reads/writes;
-    ``exit_live`` are the variables conceptually read after the method
-    returns (out-parameters and every variable the postcondition
-    mentions).
+    ``name`` is live after node ``index`` iff some path from one of its
+    successors reads it before writing it again, or reaches the exit
+    with ``name`` in ``exit_live`` (the variables conceptually read after
+    the method returns: out-parameters and everything the postcondition
+    mentions).  ``uses(n)``/``defs(n)`` give the variables a node
+    reads/writes; a node's reads happen before its writes.  A search
+    from the node answers this for the few assignments the dead-store
+    check asks about, without solving liveness for the whole CFG.
     """
-    live_in: Dict[int, FrozenSet[str]] = {}
-    live_out: Dict[int, FrozenSet[str]] = {}
-    empty: FrozenSet[str] = frozenset()
-    # A stack popped from the end visits nodes in reverse creation order,
-    # which approximates reverse program order; a node is revisited only
-    # when a successor's live-in set grows.
-    worklist = list(range(len(cfg.nodes)))
-    queued = set(worklist)
-    while worklist:
-        index = worklist.pop()
-        queued.discard(index)
-        node = cfg.nodes[index]
-        out = empty
-        for succ, _ in cfg.succs[index]:
-            out |= live_in.get(succ, empty)
-        if node.kind == "exit":
-            out = out | exit_live
-        live_out[index] = out
-        new_in = uses(node) | (out - defs(node))
-        if new_in != live_in.get(index):
-            live_in[index] = new_in
-            for pred, _ in cfg.preds[index]:
-                if pred not in queued:
-                    queued.add(pred)
-                    worklist.append(pred)
-    return live_out
+    if index == cfg.exit:
+        return name in exit_live
+    seen = set()
+    stack = [succ for succ, _ in cfg.succs[index]]
+    while stack:
+        succ = stack.pop()
+        if succ in seen:
+            continue
+        seen.add(succ)
+        node = cfg.nodes[succ]
+        if name in uses(node):
+            return True
+        if name in defs(node):
+            continue
+        if succ == cfg.exit and name in exit_live:
+            return True
+        stack.extend(nxt for nxt, _ in cfg.succs[succ])
+    return False

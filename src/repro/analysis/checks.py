@@ -64,10 +64,11 @@ desugared programs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..viper.allocation import NewStmt
 from ..viper.ast import (
@@ -109,9 +110,7 @@ from ..viper.ast import (
 )
 from ..viper.loops import While
 from ..viper.oldexprs import OldExpr
-from .cfg import CFG, CFGNode, ForwardAnalysis, build_cfg, run_forward, run_liveness
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+from .cfg import CFG, CFGNode, ForwardAnalysis, build_cfg, flatten_seq, live_after, run_forward
 
 
 # ---------------------------------------------------------------------------
@@ -261,98 +260,34 @@ def _synthesized(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_CHILDREN = {
-    OldExpr: lambda expr: (expr.expr,),
-    FieldAcc: lambda expr: (expr.receiver,),
-    BinOp: lambda expr: (expr.left, expr.right),
-    UnOp: lambda expr: (expr.operand,),
-    CondExp: lambda expr: (expr.cond, expr.then, expr.otherwise),
-}
-
-
-def _children(expr: Expr) -> Tuple[Expr, ...]:
-    children = _CHILDREN.get(type(expr))
-    return children(expr) if children is not None else ()
-
-
-def _expr_reads(expr: Expr) -> FrozenSet[str]:
-    names: Set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if type(node) is Var:
-            names.add(node.name)
-        else:
-            stack.extend(_children(node))
-    return frozenset(names)
-
-
-def _expr_heap_fields(expr: Expr) -> List[str]:
-    """Fields read from the *current* heap (``old()`` interiors excluded —
-    they read the pre-state, whose mask the analysis does not model)."""
-    fields: List[str] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is OldExpr:
-            continue
-        if kind is FieldAcc:
-            fields.append(node.field)
-        stack.extend(_children(node))
-    return fields
-
-
-def _expr_has_old(expr: Expr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if type(node) is OldExpr:
-            return True
-        stack.extend(_children(node))
-    return False
-
-
-_PARTS = {
-    AExpr: lambda a: ((a.expr,), ()),
-    Acc: lambda a: ((a.receiver, a.perm), ()),
-    SepConj: lambda a: ((), (a.left, a.right)),
-    Implies: lambda a: ((a.cond,), (a.body,)),
-    CondAssert: lambda a: ((a.cond,), (a.then, a.otherwise)),
-}
-
-
-def _assertion_parts(assertion: Assertion):
-    """(exprs, sub-assertions) of one assertion level."""
-    parts = _PARTS.get(type(assertion))
-    return parts(assertion) if parts is not None else ((), ())
-
-
-def _assertion_reads(assertion: Assertion) -> FrozenSet[str]:
-    exprs, subs = _assertion_parts(assertion)
-    result: FrozenSet[str] = frozenset()
-    for expr in exprs:
-        result |= _expr_reads(expr)
-    for sub in subs:
-        result |= _assertion_reads(sub)
-    return result
-
-
-def _assertion_has_old(assertion: Assertion) -> bool:
-    stack = [assertion]
-    while stack:
-        exprs, subs = _assertion_parts(stack.pop())
-        if any(_expr_has_old(expr) for expr in exprs):
-            return True
-        stack.extend(subs)
+def _has_old(node) -> bool:
+    """Whether an expression or assertion contains ``old()``."""
+    kind = type(node)
+    if kind is OldExpr:
+        return True
+    if kind is BinOp or kind is SepConj:
+        return _has_old(node.left) or _has_old(node.right)
+    if kind is FieldAcc:
+        return _has_old(node.receiver)
+    if kind is UnOp:
+        return _has_old(node.operand)
+    if kind is AExpr:
+        return _has_old(node.expr)
+    if kind is Acc:
+        return _has_old(node.receiver) or _has_old(node.perm)
+    if kind is Implies:
+        return _has_old(node.cond) or _has_old(node.body)
+    if kind is CondExp or kind is CondAssert:
+        return _has_old(node.cond) or _has_old(node.then) or _has_old(node.otherwise)
     return False
 
 
 def _literal_false(assertion: Assertion) -> bool:
     """Literally-false at the top level (through separating conjunction)."""
-    if isinstance(assertion, AExpr):
-        return isinstance(assertion.expr, BoolLit) and not assertion.expr.value
-    if isinstance(assertion, SepConj):
+    kind = type(assertion)
+    if kind is AExpr:
+        return type(assertion.expr) is BoolLit and not assertion.expr.value
+    if kind is SepConj:
         return _literal_false(assertion.left) or _literal_false(assertion.right)
     return False
 
@@ -370,7 +305,22 @@ def _is_literal_expr(expr: Expr) -> bool:
 _SPEC_STMTS = (Inhale, Exhale, AssertStmt)
 
 
-def _annotate(cfg: CFG, fields: Tuple[str, ...]) -> None:
+class _BodyFacts(NamedTuple):
+    """What the method-level checks need of a whole body."""
+
+    reads: Set[str]  # every variable a node reads
+    defs: Set[str]  # every variable a node writes or declares
+    writes: Set[str]  # the same, declarations excluded (VPR005)
+    fields: Set[str]  # every field a node mentions
+    declarations: List[VarDecl]
+    local_assigns: List[CFGNode]
+    trivial_asserts: List[CFGNode]  # ``assert true`` (VPR009)
+    cuts: bool  # a literally-false statement or a constant condition
+    may_diverge: bool  # an assert or exhale folds to false, or a loop condition to true (VPR010)
+    scale: int  # the least common multiple of the plans' scales, or 0
+
+
+def _annotate(cfg: CFG, fields: Tuple[str, ...]) -> _BodyFacts:
     """Attach each node's facts as attributes, once, right after
     :func:`build_cfg`.  The worklist engine calls the transfer functions
     once per fixpoint *visit* (several times per node on loops), so they
@@ -380,86 +330,216 @@ def _annotate(cfg: CFG, fields: Tuple[str, ...]) -> None:
     * ``checked_reads`` — the reads the definite-assignment check reports
       on: all but an ``inhale``'s, since inhaling a fact about a havoced
       variable is how the subset expresses a nondeterministic choice;
+    * ``invariant_reads`` — a loop head's invariant's reads;
     * ``fields`` — the fields the statement mentions (``old()`` included);
+    * ``heap`` — the fields a branch condition, assignment or call reads
+      from the current heap;
+    * ``plan`` — a specification statement's or loop head's assertion, as
+      the permission flow reads it (:func:`_plan`);
     * ``defs`` — the variables the node writes or declares;
     * ``kills_flow`` — the node makes all successors unreachable;
     * ``constant`` — a branch or loop head's literal condition, else None;
     * ``perm_identity`` — its permission transfer is provably the identity.
+
+    Without a report sink the permission transfer only *changes* state on
+    ``acc`` conjuncts, allocation, calls, assignments and loop heads; the
+    ubiquitous pure assertions (``assert x.f > 0``) would walk the whole
+    assertion just to return the input.  A node that mentions a field
+    never takes that shortcut: its transfer also collects the node's
+    findings (see :class:`_PermissionFlow`).
+
+    The same pass gathers the body's :class:`_BodyFacts`, in node
+    creation order, which is program-text order.
     """
+    body_reads: Set[str] = set()
+    body_defs: Set[str] = set()
+    body_writes: Set[str] = set()
+    body_fields: Set[str] = set()
+    declarations: List[VarDecl] = []
+    local_assigns: List[CFGNode] = []
+    trivial_asserts: List[CFGNode] = []
+    cuts = may_diverge = False
+    scale = 0
     for node in cfg.nodes:
         stmt = node.stmt
+        node.constant = node.plan = None
+        node.kills_flow = False
         cls = type(stmt)
+        if stmt is None or cls is VarDecl or cls is Skip:  # nothing to walk
+            node.reads = node.checked_reads = node.fields = _EMPTY
+            node.heap = ()
+            node.perm_identity = True
+            node.defs = _EMPTY
+            if cls is VarDecl:
+                node.defs = frozenset((stmt.name,))
+                body_defs |= node.defs
+                declarations.append(stmt)
+            continue
         reads: Set[str] = set()
         mentioned: Set[str] = set()
-        has_acc = False
-        node.constant = None
+        heap: List[str] = []
+        defs = _EMPTY
+        # Heap reads at branches only matter with a report sink.
+        node.perm_identity = node.kind == "branch"
         if node.kind in ("branch", "loop-head"):
-            _expr_facts(stmt.cond, reads, mentioned)
             if node.kind == "loop-head":
-                _assertion_facts(stmt.invariant, reads, mentioned)
+                node.plan = _plan(stmt.invariant, reads, mentioned)
+                node.invariant_reads = frozenset(reads)
+                scale = _lcm(scale, node.plan[1])
+                may_diverge = may_diverge or _fold_expr(stmt.cond) is True
+            _expr_facts(stmt.cond, reads, mentioned, heap)
             if type(stmt.cond) is BoolLit:
                 node.constant = stmt.cond.value
+                cuts = True
         elif cls is LocalAssign:
-            _expr_facts(stmt.rhs, reads, mentioned)
+            _expr_facts(stmt.rhs, reads, mentioned, heap)
+            defs = frozenset((stmt.target,))
+            local_assigns.append(node)
         elif cls is FieldAssign:
             mentioned.add(stmt.field)
-            _expr_facts(stmt.receiver, reads, mentioned)
-            _expr_facts(stmt.rhs, reads, mentioned)
+            _expr_facts(stmt.receiver, reads, mentioned, heap)
+            _expr_facts(stmt.rhs, reads, mentioned, heap)
         elif cls is MethodCall:
             for arg in stmt.args:
-                _expr_facts(arg, reads, mentioned)
+                _expr_facts(arg, reads, mentioned, heap)
+            defs = frozenset(stmt.targets)
         elif cls in _SPEC_STMTS:
-            has_acc = _assertion_facts(stmt.assertion, reads, mentioned)
+            node.plan = _plan(stmt.assertion, reads, mentioned)
+            scale = _lcm(scale, node.plan[1])
+            node.kills_flow = _literal_false(stmt.assertion)
+            node.perm_identity = not node.kills_flow and not node.plan[1]
+            cuts = cuts or node.kills_flow
+            if not may_diverge and cls is not Inhale:
+                may_diverge = _folds_false(stmt.assertion)
+            assertion = stmt.assertion
+            if (
+                cls is AssertStmt
+                and type(assertion) is AExpr
+                and type(assertion.expr) is BoolLit
+                and assertion.expr.value
+            ):
+                trivial_asserts.append(node)
         elif cls is NewStmt:
             mentioned.update(fields if stmt.all_fields else stmt.fields)
-        node.reads = frozenset(reads)
-        node.checked_reads = frozenset() if cls is Inhale else node.reads
+            defs = frozenset((stmt.target,))
+        node.reads = reads
+        node.checked_reads = _EMPTY if cls is Inhale else reads
         node.fields = mentioned
-        node.defs = _defs(stmt)
-        node.kills_flow = cls in _SPEC_STMTS and _literal_false(stmt.assertion)
-        node.perm_identity = _perm_identity(node, has_acc)
+        node.heap = heap
+        node.defs = defs
+        body_reads |= reads
+        body_defs |= defs
+        body_fields |= mentioned
+        body_writes |= defs
+    return _BodyFacts(
+        body_reads, body_defs, body_writes, body_fields, declarations,
+        local_assigns, trivial_asserts, cuts, may_diverge, scale,
+    )
 
 
-def _expr_facts(expr: Expr, reads: Set[str], fields: Set[str]) -> None:
-    """Add the variables ``expr`` reads and the fields it mentions."""
+_EMPTY: FrozenSet[str] = frozenset()
+_READS_OF, _DEFS_OF = attrgetter("reads"), attrgetter("defs")
+_LITERALS = frozenset({IntLit, BoolLit, NullLit, PermLit})
+
+
+def _expr_facts(
+    expr: Expr, reads: Set[str], fields: Set[str], heap: Optional[List[str]]
+) -> None:
+    """Add the variables ``expr`` reads and the fields it mentions, and
+    append to ``heap`` each field it reads from the current heap
+    (``old()`` interiors read the pre-state, which VPR008 does not model)."""
     kind = type(expr)
     if kind is Var:
         reads.add(expr.name)
-        return
-    if kind is FieldAcc:
+    elif kind is BinOp:
+        # Most operands are variables or literals: skip the call for those.
+        for operand in (expr.left, expr.right):
+            operand_kind = type(operand)
+            if operand_kind is Var:
+                reads.add(operand.name)
+            elif operand_kind not in _LITERALS:
+                _expr_facts(operand, reads, fields, heap)
+    elif kind is FieldAcc:
         fields.add(expr.field)
-    children = _CHILDREN.get(kind)
-    if children is not None:
-        for child in children(expr):
-            _expr_facts(child, reads, fields)
+        if heap is not None:
+            heap.append(expr.field)
+        _expr_facts(expr.receiver, reads, fields, heap)
+    elif kind is UnOp:
+        _expr_facts(expr.operand, reads, fields, heap)
+    elif kind is CondExp:
+        _expr_facts(expr.cond, reads, fields, heap)
+        _expr_facts(expr.then, reads, fields, heap)
+        _expr_facts(expr.otherwise, reads, fields, heap)
+    elif kind is OldExpr:
+        _expr_facts(expr.expr, reads, fields, None)
 
 
-def _assertion_facts(assertion: Assertion, reads: Set[str], fields: Set[str]) -> bool:
-    """Add an assertion's reads and fields; returns whether it has an ``acc``."""
-    has_acc = False
-    stack = [assertion]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Acc):
-            has_acc = True
-            fields.add(node.field)
-        exprs, subs = _assertion_parts(node)
-        for expr in exprs:
-            _expr_facts(expr, reads, fields)
-        stack.extend(subs)
-    return has_acc
+#: The tags of a plan (see :func:`_plan`).
+_READS, _SEQ, _IMPLIES, _COND, _ACC = range(5)
 
 
-def _defs(stmt) -> FrozenSet[str]:
-    if isinstance(stmt, LocalAssign):
-        return frozenset({stmt.target})
-    if isinstance(stmt, MethodCall):
-        return frozenset(stmt.targets)
-    if isinstance(stmt, NewStmt):
-        return frozenset({stmt.target})
-    if isinstance(stmt, VarDecl):
-        return frozenset({stmt.name})
-    return frozenset()
+def _plan(assertion: Assertion, reads: Set[str], fields: Set[str]) -> tuple:
+    """Add an assertion's reads and fields, and return its *plan*: the
+    assertion as the permission flow (VPR008) walks it, with each part's
+    current-heap field reads collected once.  A plan is a tuple
+    ``(tag, scale, ...)``; ``scale`` is the least common multiple of the
+    denominators of the literal ``acc`` amounts inside it (1 for a
+    non-literal amount), or 0 when it holds no ``acc``:
+
+    * ``(_READS, 0, heap)`` — a pure assertion;
+    * ``(_SEQ, scale, parts)`` — separating conjuncts, left to right;
+    * ``(_IMPLIES, scale, heap, body)`` and
+      ``(_COND, scale, heap, then, otherwise)`` — ``heap`` is the guard's;
+    * ``(_ACC, scale, heap, field, amount, receiver, acc)`` — ``amount``
+      is a literal's ``(numerator, denominator)`` or None, ``receiver`` a
+      variable's name or None.
+    """
+    kind = type(assertion)
+    if kind is SepConj:
+        parts, stack, scale = [], [assertion], 0
+        while stack:
+            node = stack.pop()
+            if type(node) is SepConj:
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                part = _plan(node, reads, fields)
+                parts.append(part)
+                scale = _lcm(scale, part[1])
+        return (_SEQ, scale, parts)
+    heap: List[str] = []
+    if kind is AExpr:
+        _expr_facts(assertion.expr, reads, fields, heap)
+        return (_READS, 0, heap)
+    if kind is Implies:
+        _expr_facts(assertion.cond, reads, fields, heap)
+        body = _plan(assertion.body, reads, fields)
+        return (_IMPLIES, body[1], heap, body)
+    if kind is CondAssert:
+        _expr_facts(assertion.cond, reads, fields, heap)
+        then = _plan(assertion.then, reads, fields)
+        other = _plan(assertion.otherwise, reads, fields)
+        return (_COND, _lcm(then[1], other[1]), heap, then, other)
+    if kind is Acc:
+        fields.add(assertion.field)
+        _expr_facts(assertion.receiver, reads, fields, heap)
+        _expr_facts(assertion.perm, reads, fields, heap)
+        amount = None
+        if isinstance(assertion.perm, PermLit):
+            amount = assertion.perm.amount.as_integer_ratio()
+        receiver = assertion.receiver.name if isinstance(assertion.receiver, Var) else None
+        return (_ACC, amount[1] if amount else 1, heap, assertion.field, amount, receiver,
+                assertion)
+    return (_READS, 0, heap)
+
+
+def _lcm(a: int, b: int) -> int:
+    """The least common multiple of two scales, 0 standing for none."""
+    if not a:
+        return b
+    if not b or a == b:
+        return a
+    return math.lcm(a, b)
 
 
 class _SemanticAnalysis(ForwardAnalysis):
@@ -480,10 +560,15 @@ class _SemanticAnalysis(ForwardAnalysis):
 class _DefiniteAssignment(_SemanticAnalysis):
     """State: the set of definitely-assigned (or constrained) variables.
 
-    Join is intersection (assigned on *every* path)."""
+    Join is intersection (assigned on *every* path).  The transfer also
+    records the node's checked reads missing from its in-state.  In-states
+    only shrink as the fixpoint proceeds, so the latest visit, which runs
+    on the fixpoint's in-state, misses a superset of what earlier visits
+    missed: ``unassigned`` keeps its set."""
 
     def __init__(self, entry_assigned: FrozenSet[str]):
         self._entry = entry_assigned
+        self.unassigned: Dict[int, FrozenSet[str]] = {}
 
     def initial(self):
         return self._entry
@@ -492,17 +577,21 @@ class _DefiniteAssignment(_SemanticAnalysis):
         return a & b
 
     def transfer(self, node: CFGNode, state):
+        reads = node.checked_reads
+        if reads and not reads <= state:
+            self.unassigned[node.index] = reads - state
         if node.kills_flow:
             return None
         stmt = node.stmt
-        if isinstance(stmt, VarDecl):
-            return state - {stmt.name}
-        if isinstance(stmt, Inhale):
+        cls = type(stmt)
+        if cls is VarDecl:
+            return state - node.defs
+        if cls is Inhale:
             return state | node.reads
         if node.kind == "loop-head":
             # The desugaring inhales the invariant at the head.
-            return state | _assertion_reads(stmt.invariant)
-        return (state | node.defs) if node.defs else state
+            return state | node.invariant_reads
+        return state if node.defs <= state else state | node.defs
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +635,16 @@ def _fold_expr(expr: Expr):
     ``None`` always means "unknown", never a value: every foldable
     expression of the subset yields a bool, an int, a Fraction, or
     ``_NULL``."""
-    if isinstance(expr, (IntLit, BoolLit)):
+    kind = type(expr)
+    if kind is BinOp:
+        return _fold_binop(expr)
+    if kind is IntLit or kind is BoolLit:
         return expr.value
-    if isinstance(expr, PermLit):
+    if kind is PermLit:
         return expr.amount
-    if isinstance(expr, NullLit):
+    if kind is NullLit:
         return _NULL
-    if isinstance(expr, UnOp):
+    if kind is UnOp:
         value = _fold_expr(expr.operand)
         if expr.op is UnOpKind.NOT and value in (True, False):
             return not value
@@ -560,18 +652,18 @@ def _fold_expr(expr: Expr):
                 and not isinstance(value, bool):
             return -value
         return None
-    if isinstance(expr, CondExp):
+    if kind is CondExp:
         cond = _fold_expr(expr.cond)
         if cond in (True, False):
             return _fold_expr(expr.then if cond else expr.otherwise)
         return None
-    if isinstance(expr, BinOp):
-        return _fold_binop(expr)
     return None
 
 
 def _fold_binop(expr: BinOp):
     left = _fold_expr(expr.left)
+    if left is None:
+        return None  # whatever the right operand folds to
     if expr.op in LAZY_OPS:
         if left not in (True, False):
             return None
@@ -635,24 +727,6 @@ def _folds_false(assertion: Assertion) -> bool:
     return False
 
 
-def _diverges(stmt: Stmt) -> bool:
-    """Provably no fault-free continuation past this statement."""
-    if isinstance(stmt, (AssertStmt, Exhale)):
-        return _folds_false(stmt.assertion)
-    if isinstance(stmt, While):
-        return _fold_expr(stmt.cond) is True
-    if isinstance(stmt, If):
-        cond = _fold_expr(stmt.cond)
-        if cond is True:
-            return _diverges(stmt.then)
-        if cond is False:
-            return _diverges(stmt.otherwise)
-        return _diverges(stmt.then) and _diverges(stmt.otherwise)
-    if isinstance(stmt, Seq):
-        return _diverges(stmt.first) or _diverges(stmt.second)
-    return False
-
-
 def _diverges_literally(stmt: Stmt) -> bool:
     """The sub-case VPR003's edge-level machinery already sees: syntactic
     ``false`` assertions and syntactic ``true``/``false`` conditions, with
@@ -675,12 +749,6 @@ def _diverges_literally(stmt: Stmt) -> bool:
     return False
 
 
-def _flatten_seq(stmt: Stmt) -> List[Stmt]:
-    if isinstance(stmt, Seq):
-        return _flatten_seq(stmt.first) + _flatten_seq(stmt.second)
-    return [stmt]
-
-
 def _divergence_kind(stmt: Stmt) -> str:
     if isinstance(stmt, (AssertStmt, Exhale)):
         return "assertion folds to false"
@@ -691,19 +759,38 @@ def _divergence_kind(stmt: Stmt) -> str:
 
 def _check_divergence(
     body: Stmt, method: MethodDecl, findings: List[Finding]
-) -> None:
+) -> bool:
     """Walk one statement level; report the first statement shadowed by a
     folded-diverging predecessor, mirroring VPR003's first-of-region rule.
     Nothing inside a dead region is visited — no reports inside dead
-    code, folded or literal."""
-    stmts = _flatten_seq(body)
+    code, folded or literal.
+
+    Returns whether the level provably has no fault-free continuation: a
+    closed ``assert``/``exhale`` folds to false, a loop's closed condition
+    folds to true, or a conditional diverges in the arm its condition
+    folds to (in both arms when it does not fold).  A conditional's arms
+    are walked once, for their reports and their divergence alike."""
+    stmts = flatten_seq(body)
     for index, stmt in enumerate(stmts):
-        if isinstance(stmt, If):
-            _check_divergence(stmt.then, method, findings)
-            _check_divergence(stmt.otherwise, method, findings)
-        elif isinstance(stmt, While):
+        kind = type(stmt)
+        if kind is If:
+            then = _check_divergence(stmt.then, method, findings)
+            otherwise = _check_divergence(stmt.otherwise, method, findings)
+            cond = _fold_expr(stmt.cond)
+            if cond is True:
+                diverges = then
+            elif cond is False:
+                diverges = otherwise
+            else:
+                diverges = then and otherwise
+        elif kind is While:
             _check_divergence(stmt.body, method, findings)
-        if not _diverges(stmt):
+            diverges = _fold_expr(stmt.cond) is True
+        elif kind is AssertStmt or kind is Exhale:
+            diverges = _folds_false(stmt.assertion)
+        else:
+            diverges = False
+        if not diverges:
             continue
         if not _diverges_literally(stmt) and index + 1 < len(stmts):
             line = stmt_pos(stmts[index + 1])
@@ -716,430 +803,334 @@ def _check_divergence(
                 line=line,
                 subject=stmts[index + 1],
             ))
-        return
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
 # VPR008: the permission-flow abstraction
 # ---------------------------------------------------------------------------
 
-#: ``None`` inside ``hi`` means +∞ (unknown upper bound).
-_PermHi = Optional[Fraction]
 
+class _PermState(tuple):
+    """``(hi, lo)``, built as ``_PermState((hi, lo))``.  hi: per-field upper
+    bound on *total* permission, ``None`` meaning unbounded; lo:
+    per-(var, field) lower bound on the permission held to that location,
+    with only positive entries.
 
-@dataclass
-class _PermState:
-    """hi: per-field upper bound on *total* permission; lo: per-(var, field)
-    lower bound on the permission held to that location.
+    Amounts are integers counting units of 1/``scale`` of a full
+    permission, where a method's scale is the least common multiple of
+    the denominators of its literal ``acc`` amounts: every amount the
+    analysis computes is a sum, difference, minimum or maximum of those
+    literals and 0 or 1, so integers represent them exactly and keep the
+    analyze stage inside its pipeline budget (docs/ANALYSIS.md
+    § Performance).  The dicts are never changed in place: a transfer
+    that changes one builds a new state.
+    """
 
-    Stored as plain dicts, treated as immutable by convention: the
-    transfer functions always go through ``hi_map``/``lo_map`` copies and
-    rebuild via ``make``.  Dict equality is order-insensitive, so the
-    fixpoint engine's ``equals`` works unchanged, and skipping the old
-    sorted-tuple canonicalisation keeps the analyze stage inside its <5%
-    pipeline budget (docs/ANALYSIS.md § Performance)."""
-
-    hi: Dict[str, _PermHi]
-    lo: Dict[Tuple[str, str], Fraction]
-
-    @staticmethod
-    def make(hi: Dict[str, _PermHi], lo: Dict[Tuple[str, str], Fraction]):
-        # (A rational's sign is its numerator's; this skips Fraction's
-        # slow generic comparison.)
-        return _PermState(hi, {k: v for k, v in lo.items() if v.numerator > 0})
-
-    def hi_map(self) -> Dict[str, _PermHi]:
-        return dict(self.hi)
-
-    def lo_map(self) -> Dict[Tuple[str, str], Fraction]:
-        return dict(self.lo)
-
-
-def _hi_add(a: _PermHi, amount: Optional[Fraction]) -> _PermHi:
-    if a is None or amount is None:
-        return None
-    return a + amount
-
-
-def _hi_sub(a: _PermHi, amount: Fraction) -> _PermHi:
-    if a is None:
-        return None
-    return max(a - amount, _ZERO)
-
-
-def _hi_lt(a: _PermHi, amount: Fraction) -> bool:
-    """Is the upper bound provably below ``amount``? (∞ never is.)"""
-    return a is not None and a < amount
-
-
-def _perm_identity(node: CFGNode, has_acc: bool) -> bool:
-    """Is the permission transfer of this node provably the identity?
-
-    With ``report=None`` the fixpoint transfer only *changes* state on
-    ``acc`` conjuncts, allocation, calls, assignments, and loop heads;
-    the ubiquitous pure assertions (``assert x.f > 0``) walk the whole
-    assertion just to return the input.  Deciding that once per node and
-    short-circuiting keeps the analyze stage inside its <5% budget.  A
-    node that mentions a field never takes this path: its transfer also
-    collects the node's findings (see :class:`_PermissionFlow`)."""
-    if node.kind in ("entry", "exit", "branch"):
-        return True  # _heap_reads is a no-op without a report sink
-    if node.kind == "loop-head":
-        return False
-    stmt = node.stmt
-    if isinstance(stmt, (Inhale, Exhale, AssertStmt)):
-        return not node.kills_flow and not has_acc
-    return isinstance(stmt, (VarDecl, Skip))
+    __slots__ = ()
+    hi = property(itemgetter(0))  # Dict[str, Optional[int]]
+    lo = property(itemgetter(1))  # Dict[Tuple[str, str], int]
 
 
 class _PermissionFlow(_SemanticAnalysis):
-    """``entry`` is the state after inhaling the precondition, computed
-    once by the caller (it also reports on the precondition).
+    """The permission flow of one method, in units of 1/``scale``.
 
-    The transfer of a node that mentions a field also collects that
-    node's findings; ``reports`` keeps those of its latest visit.  The
-    engine re-queues a node whenever its in-state changes, so the latest
-    visit runs on the fixpoint's in-state, and ``reports`` holds exactly
-    what a reporting pass over the final in-states would find."""
+    ``entry`` is the state after inhaling the precondition, computed by
+    the caller with :meth:`assertion` (it also reports on the
+    precondition).  The transfer of a node that mentions a field also
+    collects that node's findings; ``reports`` keeps those of its latest
+    visit.  The engine re-queues a node whenever its in-state changes, so
+    the latest visit runs on the fixpoint's in-state, and ``reports``
+    holds exactly what a reporting pass over the final in-states would
+    find."""
 
-    def __init__(
-        self, fields: Tuple[str, ...], method: MethodDecl, entry: _PermState
-    ):
+    def __init__(self, fields: Tuple[str, ...], method: MethodDecl, scale: int):
         self._fields = fields
         self._method = method
-        self._entry = entry
+        self._scale = scale
+        self.entry = _PermState((dict.fromkeys(fields, 0), {}))
         self.reports: Dict[int, List[Finding]] = {}
+
+    def _top(self) -> _PermState:
+        """The state that knows nothing: every bound unknown."""
+        return _PermState((dict.fromkeys(self._fields), {}))
 
     # -- lattice ----------------------------------------------------------
 
     def initial(self):
-        return self._entry
+        return self.entry
 
     def join(self, a: _PermState, b: _PermState):
         return _perm_join(a, b)
 
     def widen(self, old: _PermState, new: _PermState):
         """Degrade any growing bound straight to TOP so loops converge."""
-        ohi, nhi = old.hi_map(), new.hi_map()
-        hi: Dict[str, _PermHi] = {}
-        for f in set(ohi) | set(nhi):
-            x, y = ohi.get(f, _ZERO), nhi.get(f, _ZERO)
+        (ohi, olo), (nhi, nlo) = old, new
+        hi: Dict[str, Optional[int]] = {}
+        for f in ohi.keys() | nhi.keys():
+            x, y = ohi.get(f, 0), nhi.get(f, 0)
             hi[f] = x if (x is not None and y is not None and y <= x) else None
-        olo, nlo = old.lo_map(), new.lo_map()
-        lo = {
-            key: olo[key]
-            for key in olo
-            if nlo.get(key, _ZERO) >= olo[key]
-        }
-        return _PermState.make(hi, lo)
+        lo = {key: value for key, value in olo.items() if nlo.get(key, 0) >= value}
+        return _PermState((hi, lo))
 
     # -- transfer ---------------------------------------------------------
 
     def transfer(self, node: CFGNode, state: _PermState):
         if node.fields:  # every finding names a field the node mentions
             report = self.reports[node.index] = []
-            return _perm_node(node, state, self._fields, report, self._method)
+            return self._node(node, state, report)
         if node.perm_identity:
             return state
-        return _perm_node(node, state, self._fields, report=None)
+        return self._node(node, state, None)
 
-
-def _perm_top(fields: Tuple[str, ...]) -> _PermState:
-    return _PermState.make({f: None for f in fields}, {})
-
-
-def _perm_node(
-    node: CFGNode,
-    state: _PermState,
-    fields: Tuple[str, ...],
-    report: Optional[List[Finding]],
-    method: Optional[MethodDecl] = None,
-) -> Optional[_PermState]:
-    """Shared transfer/report body.  With ``report=None`` it is the pure
-    transfer; with a list it also appends findings (the reporting pass
-    re-runs it on the fixpoint's in-states)."""
-    if node.kills_flow:
-        return None
-    stmt = node.stmt
-    line = node.pos
-    if node.kind == "branch":
-        _heap_reads(state, (stmt.cond,), report, method, line)
-        return state
-    if node.kind == "loop-head":
-        # entry/preservation exhale of the invariant, checked against the
-        # joined in-state (sound: the entry path's bound is ≤ the join) …
-        after = _perm_assertion(state, stmt.invariant, "exhale",
-                                definite=True, report=report,
-                                method=method, line=line)
-        # … then the head havocs the frame and re-inhales the invariant.
-        top = _perm_top(fields)
-        inhaled = _perm_assertion(top, stmt.invariant, "inhale",
-                                  definite=True, report=report,
-                                  method=method, line=line)
-        if after is None or inhaled is None:
+    def _node(
+        self, node: CFGNode, state: _PermState, report: Optional[List[Finding]]
+    ) -> Optional[_PermState]:
+        """A node's transfer; with a ``report`` list it also appends the
+        node's findings."""
+        if node.kills_flow:
             return None
-        return inhaled
-    if isinstance(stmt, LocalAssign):
-        _heap_reads(state, (stmt.rhs,), report, method, line)
-        return _drop_var_lo(state, stmt.target)
-    if isinstance(stmt, FieldAssign):
-        _heap_reads(state, (stmt.receiver, stmt.rhs), report, method, line)
-        hi = state.hi_map().get(stmt.field, _ZERO)
-        if report is not None and _hi_lt(hi, _ONE):
-            report.append(Finding(
-                "VPR008",
-                f"write to .{stmt.field} requires full permission, but at "
-                f"most {hi} can be held here",
-                CHECKS["VPR008"].severity,
-                method=method.name if method else None,
-                line=line,
-                subject=stmt,
-            ))
-        return state
-    if isinstance(stmt, MethodCall):
-        _heap_reads(state, stmt.args, report, method, line)
-        # The callee may exhale and inhale arbitrary permission.
-        return _perm_top(fields)
-    if isinstance(stmt, NewStmt):
-        allocated = fields if stmt.all_fields else stmt.fields
-        hi = state.hi_map()
-        lo = state.lo_map()
-        for key in [k for k in lo if k[0] == stmt.target]:
-            del lo[key]
-        for f in allocated:
-            hi[f] = _hi_add(hi.get(f, _ZERO), _ONE)
-            lo[(stmt.target, f)] = _ONE
-        return _PermState.make(hi, lo)
-    if isinstance(stmt, Inhale):
-        return _perm_assertion(state, stmt.assertion, "inhale",
-                               definite=True, report=report,
-                               method=method, line=line)
-    if isinstance(stmt, Exhale):
-        return _perm_assertion(state, stmt.assertion, "exhale",
-                               definite=True, report=report,
-                               method=method, line=line)
-    if isinstance(stmt, AssertStmt):
-        return _perm_assertion(state, stmt.assertion, "assert",
-                               definite=True, report=report,
-                               method=method, line=line)
-    return state
-
-
-def _drop_var_lo(state: _PermState, name: str) -> _PermState:
-    if not any(key[0] == name for key in state.lo):
-        return state
-    lo = {k: v for k, v in state.lo_map().items() if k[0] != name}
-    return _PermState.make(state.hi_map(), lo)
-
-
-def _heap_reads(
-    state: _PermState,
-    exprs,
-    report: Optional[List[Finding]],
-    method: Optional[MethodDecl],
-    line: Optional[int],
-) -> None:
-    if report is None:
-        return
-    hi = state.hi
-    for expr in exprs:
-        for f in _expr_heap_fields(expr):
-            bound = hi.get(f, _ZERO)
-            if bound is not None and not bound:  # provably zero
-                report.append(Finding(
-                    "VPR008",
-                    f"read of .{f}, but no permission to {f} can be held "
-                    f"here",
-                    CHECKS["VPR008"].severity,
-                    method=method.name if method else None,
-                    line=line,
+        stmt = node.stmt
+        cls = type(stmt)
+        if node.kind == "branch":
+            self._reads(state, node.heap, report, node)
+            return state
+        if node.kind == "loop-head":
+            # entry/preservation exhale of the invariant, checked against the
+            # joined in-state (sound: the entry path's bound is ≤ the join) …
+            after = self.assertion(state, node.plan, "exhale", report, node)
+            # … then the head havocs the frame and re-inhales the invariant.
+            inhaled = self.assertion(self._top(), node.plan, "inhale", report, node)
+            if after is None or inhaled is None:
+                return None
+            return inhaled
+        if cls is LocalAssign:
+            self._reads(state, node.heap, report, node)
+            for key in state.lo:
+                if key[0] == stmt.target:
+                    break
+            else:
+                return state
+            lo = {key: value for key, value in state.lo.items() if key[0] != stmt.target}
+            return _PermState((state.hi, lo))
+        if cls is FieldAssign:
+            self._reads(state, node.heap, report, node)
+            hi = state.hi.get(stmt.field, 0)
+            if report is not None and hi is not None and hi < self._scale:
+                report.append(self._finding(
+                    f"write to .{stmt.field} requires full permission, but at "
+                    f"most {self._amount(hi)} can be held here",
+                    node, stmt,
                 ))
-
-
-def _perm_assertion(
-    state: Optional[_PermState],
-    assertion: Assertion,
-    mode: str,
-    *,
-    definite: bool,
-    report: Optional[List[Finding]],
-    method: Optional[MethodDecl] = None,
-    line: Optional[int] = None,
-    eval_state: Optional[_PermState] = None,
-    flag_inconsistency: bool = True,
-) -> Optional[_PermState]:
-    """Process an assertion left-to-right in ``inhale``/``exhale``/
-    ``assert`` mode.  ``definite`` is False under a guard (``==>``/``?:``),
-    where nothing is reported because the guard may be false.  Returns
-    ``None`` when the state is provably inconsistent afterwards.
-
-    ``eval_state`` is the state heap *reads* are checked against: per the
-    exhale semantics (``remcheck(a, σ, σ)``), pure sub-expressions are
-    evaluated in the state at the start of the exhale, so
-    ``exhale acc(x.f) && x.f == r`` is well-defined even though the
-    permission is removed by the first conjunct.  During inhale the
-    running state is used instead (permissions only grow)."""
-    if state is None:
-        return None
-    if eval_state is None:
-        eval_state = state
-    emit = report if (report is not None and definite) else None
-    read_state = state if mode == "inhale" else eval_state
-    if isinstance(assertion, AExpr):
-        if emit is not None:
-            _heap_reads(read_state, (assertion.expr,), emit, method, line)
+            return state
+        if cls is MethodCall:
+            self._reads(state, node.heap, report, node)
+            # The callee may exhale and inhale arbitrary permission.
+            return self._top()
+        if cls is NewStmt:
+            allocated = self._fields if stmt.all_fields else stmt.fields
+            hi = dict(state.hi)
+            lo = {key: value for key, value in state.lo.items() if key[0] != stmt.target}
+            for f in allocated:
+                bound = hi.get(f, 0)
+                hi[f] = None if bound is None else bound + self._scale
+                lo[(stmt.target, f)] = self._scale
+            return _PermState((hi, lo))
+        if cls is Inhale:
+            return self.assertion(state, node.plan, "inhale", report, node)
+        if cls is Exhale:
+            return self.assertion(state, node.plan, "exhale", report, node)
+        if cls is AssertStmt:
+            return self.assertion(state, node.plan, "assert", report, node)
         return state
-    if isinstance(assertion, SepConj):
-        for part in _conjuncts(assertion):
-            state = _perm_assertion(state, part, mode, definite=definite,
-                                    report=report, method=method, line=line,
-                                    eval_state=eval_state,
-                                    flag_inconsistency=flag_inconsistency)
-        return state
-    if isinstance(assertion, Implies):
-        _heap_reads(read_state, (assertion.cond,), emit, method, line)
-        taken = _perm_assertion(state, assertion.body, mode, definite=False,
-                                report=None, method=method, line=line,
-                                eval_state=eval_state,
-                                flag_inconsistency=flag_inconsistency)
-        if taken is None:
-            return state  # the guard is provably false in consistent states
-        return _perm_join(state, taken)
-    if isinstance(assertion, CondAssert):
-        _heap_reads(read_state, (assertion.cond,), emit, method, line)
-        then = _perm_assertion(state, assertion.then, mode, definite=False,
-                               report=None, method=method, line=line,
-                               eval_state=eval_state,
-                                flag_inconsistency=flag_inconsistency)
-        other = _perm_assertion(state, assertion.otherwise, mode,
-                                definite=False, report=None,
-                                method=method, line=line,
-                                eval_state=eval_state,
-                                flag_inconsistency=flag_inconsistency)
-        if then is None:
-            return other
-        if other is None:
-            return then
-        return _perm_join(then, other)
-    if isinstance(assertion, Acc):
-        _heap_reads(read_state, (assertion.receiver, assertion.perm), emit, method, line)
-        hi = state.hi_map()
-        lo = state.lo_map()
-        f = assertion.field
-        amount = (
-            assertion.perm.amount if isinstance(assertion.perm, PermLit) else None
-        )
-        receiver = (
-            assertion.receiver.name
-            if isinstance(assertion.receiver, Var)
-            else None
-        )
+
+    def assertion(
+        self,
+        state: Optional[_PermState],
+        plan: tuple,
+        mode: str,
+        report: Optional[List[Finding]],
+        where,
+        flag_inconsistency: bool = True,
+    ) -> Optional[_PermState]:
+        """Process an assertion's plan left-to-right in ``inhale``/
+        ``exhale``/``assert`` mode, appending findings to ``report``.
+        Returns ``None`` when the state is provably inconsistent
+        afterwards.
+
+        Heap *reads* are checked against the state at the start of an
+        exhale or assert: per the exhale semantics (``remcheck(a, σ, σ)``),
+        pure sub-expressions are evaluated there, so ``exhale acc(x.f) &&
+        x.f == r`` is well-defined even though the permission is removed
+        by the first conjunct.  During inhale the running state is used
+        instead (permissions only grow)."""
+        if state is None:
+            return None
+        return self._walk(state, plan, mode, report, state, where, flag_inconsistency)
+
+    def _walk(self, state, plan, mode, emit, start, where, flag):
+        """:meth:`assertion` on one plan.  ``emit`` is None under a guard
+        (``==>``/``?:``), where nothing is reported because the guard may
+        be false; ``start`` is the exhale's or assert's start state."""
+        tag = plan[0]
+        read_state = state if mode == "inhale" else start
+        if tag is _READS:
+            if emit is not None:
+                self._reads(read_state, plan[2], emit, where)
+            return state
+        if tag is _SEQ:
+            for part in plan[2]:
+                if part[0] is _READS:  # inlined: pure conjuncts are common
+                    if emit is not None:
+                        self._reads(state if mode == "inhale" else start, part[2], emit, where)
+                    continue
+                state = self._walk(state, part, mode, emit, start, where, flag)
+                if state is None:
+                    return None
+            return state
+        if tag is _IMPLIES:
+            self._reads(read_state, plan[2], emit, where)
+            taken = self._walk(state, plan[3], mode, None, start, where, flag)
+            if taken is None:
+                return state  # the guard is provably false in consistent states
+            return _perm_join(state, taken)
+        if tag is _COND:
+            self._reads(read_state, plan[2], emit, where)
+            then = self._walk(state, plan[3], mode, None, start, where, flag)
+            other = self._walk(state, plan[4], mode, None, start, where, flag)
+            if then is None:
+                return other
+            if other is None:
+                return then
+            return _perm_join(then, other)
+        _, _, heap, f, amount, receiver, acc = plan
+        if heap:
+            self._reads(read_state, heap, emit, where)
+        scale = self._scale
+        units = None if amount is None else amount[0] * (scale // amount[1])
+        hi, lo = state
+        bound = hi.get(f, 0)
         if mode == "inhale":
-            hi[f] = _hi_add(hi.get(f, _ZERO), amount)
-            if receiver is not None and amount is not None:
+            hi = dict(hi)
+            hi[f] = None if (bound is None or units is None) else bound + units
+            if receiver is not None and units is not None:
                 key = (receiver, f)
-                lo[key] = lo.get(key, _ZERO) + amount
-                if lo[key] > 1:
-                    if emit is not None and flag_inconsistency:
-                        emit.append(Finding(
-                            "VPR008",
+                held = lo.get(key, 0) + units
+                if held > scale:
+                    if emit is not None and flag:
+                        emit.append(self._finding(
                             f"inhale pushes the permission to "
-                            f"{receiver}.{f} to {lo[key]} > 1 — the state "
-                            f"is guaranteed inconsistent",
-                            CHECKS["VPR008"].severity,
-                            method=method.name if method else None,
-                            line=line,
-                            subject=assertion,
+                            f"{receiver}.{f} to {self._amount(held)} > 1 — the "
+                            f"state is guaranteed inconsistent",
+                            where, acc,
                         ))
                     return None
-            return _PermState.make(hi, lo)
+                lo = _with_held(lo, key, held)
+            return _PermState((hi, lo))
         # exhale / assert both require the permission to be present.
-        if amount is not None and amount > 0 and _hi_lt(hi.get(f, _ZERO), amount):
+        if units is not None and units > 0 and bound is not None and bound < units:
             if emit is not None:
                 verb = "exhale" if mode == "exhale" else "assert"
-                emit.append(Finding(
-                    "VPR008",
-                    f"{verb} of acc(..{f}, {amount}) but at most "
-                    f"{hi.get(f, _ZERO)} permission to {f} can be "
-                    f"held here",
-                    CHECKS["VPR008"].severity,
-                    method=method.name if method else None,
-                    line=line,
-                    subject=assertion,
+                emit.append(self._finding(
+                    f"{verb} of acc(..{f}, {self._amount(units)}) but at most "
+                    f"{self._amount(bound)} permission to {f} can be held here",
+                    where, acc,
                 ))
         if mode == "exhale":
-            if amount is not None:
-                hi[f] = _hi_sub(hi.get(f, _ZERO), amount)
-            for key in list(lo):
+            if units is not None:
+                hi = dict(hi)
+                hi[f] = None if bound is None else max(bound - units, 0)
+            kept = {}
+            for key, held in lo.items():
                 if key[1] != f:
-                    continue
-                if receiver is not None and amount is not None and key[0] == receiver:
-                    lo[key] = max(lo[key] - amount, _ZERO)
-                else:
-                    del lo[key]  # an alias may have lost this permission
-        else:  # assert: the state is unchanged, but on success we may
-            # strengthen the location's lower bound.
-            if receiver is not None and amount is not None:
-                key = (receiver, f)
-                lo[key] = max(lo.get(key, _ZERO), amount)
-        return _PermState.make(hi, lo)
-    return state
+                    kept[key] = held
+                elif receiver is not None and units is not None and key[0] == receiver:
+                    if held > units:
+                        kept[key] = held - units
+                # else: an alias may have lost this permission
+            return _PermState((hi, kept))
+        # assert: the state is unchanged, but on success we may strengthen
+        # the location's lower bound.
+        if receiver is not None and units is not None:
+            key = (receiver, f)
+            lo = _with_held(lo, key, max(lo.get(key, 0), units))
+        return _PermState((hi, lo))
+
+    def _reads(self, state, heap, report, where) -> None:
+        """Report each field read from the heap with provably no permission."""
+        if report is None or not heap:
+            return
+        hi = state[0]
+        for f in heap:
+            if hi.get(f, 0) == 0:  # provably zero; None is unbounded
+                report.append(self._finding(
+                    f"read of .{f}, but no permission to {f} can be held here",
+                    where, None,
+                ))
+
+    def _finding(self, message: str, where, subject) -> Finding:
+        """A VPR008 finding at the line of ``where``, a node or the method."""
+        return Finding(
+            "VPR008", message, CHECKS["VPR008"].severity,
+            method=self._method.name, line=where.pos, subject=subject,
+        )
+
+    def _amount(self, units: int) -> Fraction:
+        return Fraction(units, self._scale)
 
 
-def _conjuncts(assertion: Assertion) -> List[Assertion]:
-    """The operands of a tree of separating conjunctions, left to right."""
-    parts: List[Assertion] = []
-    stack = [assertion]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SepConj):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            parts.append(node)
-    return parts
+def _with_held(lo, key, held: int):
+    """``lo`` with ``key`` holding ``held`` (dropped unless positive)."""
+    lo = dict(lo)
+    if held > 0:
+        lo[key] = held
+    else:
+        lo.pop(key, None)
+    return lo
 
 
 def _perm_join(a: _PermState, b: _PermState) -> _PermState:
     if a is b:
         return a
-    ahi, bhi = a.hi_map(), b.hi_map()
-    hi: Dict[str, _PermHi] = {}
-    for f in set(ahi) | set(bhi):
-        x, y = ahi.get(f, _ZERO), bhi.get(f, _ZERO)
+    (ahi, alo), (bhi, blo) = a, b
+    hi: Dict[str, Optional[int]] = {}
+    for f in ahi.keys() | bhi.keys():
+        x, y = ahi.get(f, 0), bhi.get(f, 0)
         hi[f] = None if (x is None or y is None) else max(x, y)
-    alo, blo = a.lo_map(), b.lo_map()
-    lo = {
-        key: min(alo.get(key, _ZERO), blo.get(key, _ZERO))
-        for key in set(alo) | set(blo)
-    }
-    return _PermState.make(hi, lo)
+    # A location missing on one side has lower bound 0 there.
+    lo = {key: min(held, blo[key]) for key, held in alo.items() if key in blo}
+    return _PermState((hi, lo))
 
 
 def _check_permissions(
-    method: MethodDecl, fields: Tuple[str, ...], cfg: CFG
+    method: MethodDecl,
+    fields: Tuple[str, ...],
+    cfg: CFG,
+    pre: tuple,
+    post: tuple,
+    body_scale: int,
 ) -> List[Finding]:
     """VPR008 over one method: the precondition's inhale, the fixpoint
     (which collects the body's findings), then the postcondition's
-    exhale at the exit."""
+    exhale at the exit.  ``pre`` and ``post`` are the specification's
+    plans; ``body_scale`` is the body's (:func:`_annotate`)."""
+    scale = _lcm(_lcm(pre[1], post[1]), body_scale) or 1
+    flow = _PermissionFlow(fields, method, scale)
     findings: List[Finding] = []
     # A contradictory precondition (lo > 1) is *not* reported: it makes the
     # method vacuous (never callable), which the corpus uses deliberately —
     # the body is simply skipped, like code behind `inhale false`.
-    entry_state = _perm_assertion(
-        _PermState.make({f: _ZERO for f in fields}, {}),
-        method.pre, "inhale", definite=True, report=findings,
-        method=method, line=method.pos, flag_inconsistency=False,
+    flow.entry = flow.assertion(
+        flow.entry, pre, "inhale", findings, method, flag_inconsistency=False
     )
-    if entry_state is None:
+    if flow.entry is None:
         return findings
-    flow = _PermissionFlow(fields, method, entry_state)
     perm_in = run_forward(cfg, flow)
     for index in sorted(flow.reports):
         findings.extend(flow.reports[index])
     if cfg.exit in perm_in:
-        _perm_assertion(perm_in[cfg.exit], method.post, "exhale", definite=True,
-                        report=findings, method=method, line=method.pos)
+        flow.assertion(perm_in[cfg.exit], post, "exhale", findings, method)
     return findings
 
 
@@ -1191,7 +1182,7 @@ def _analyze_method(
     findings: List[Finding] = []
 
     # ---- VPR009(a): old() in a precondition ------------------------------
-    if _assertion_has_old(method.pre):
+    if _has_old(method.pre):
         findings.append(Finding(
             "VPR009",
             f"method {method.name!r}: old() in a precondition (it denotes "
@@ -1204,8 +1195,8 @@ def _analyze_method(
     spec_reads: Set[str] = set()
     post_reads: Set[str] = set()
     method_fields: Set[str] = set()
-    _assertion_facts(method.pre, spec_reads, method_fields)
-    _assertion_facts(method.post, post_reads, method_fields)
+    pre_plan = _plan(method.pre, spec_reads, method_fields)
+    post_plan = _plan(method.post, post_reads, method_fields)
     spec_reads |= post_reads
     mentioned_fields |= method_fields
 
@@ -1225,32 +1216,32 @@ def _analyze_method(
         return findings
 
     cfg = build_cfg(method.body)
-    _annotate(cfg, fields)
-    # CFG creation order is program-text order.
-    declarations = [node.stmt for node in cfg.nodes if isinstance(node.stmt, VarDecl)]
-
-    # ---- body-wide read/write/mention sets ------------------------------
-    body_reads: Set[str] = set()
-    body_defs: Set[str] = set()
-    for node in cfg.nodes:
-        body_reads |= node.reads
-        body_defs |= node.defs
-        method_fields |= node.fields
+    body = _annotate(cfg, fields)
+    body_reads = body.reads
+    method_fields |= body.fields
     mentioned_fields |= method_fields
 
     # ---- VPR001/VPR002: definite assignment ------------------------------
-    arg_names = frozenset(method.arg_names)
+    # Only reads of locals and out-parameters in the body, and
+    # out-parameters in the postcondition, are reported.  With none of
+    # them and no cut, there is nothing to solve: build_cfg links every
+    # node from the entry, so every node is reachable (VPR004 asks).
     return_names = frozenset(method.return_names)
-    assignment = _DefiniteAssignment(arg_names)
-    assigned_in = run_forward(cfg, assignment)
-    reachable = set(assigned_in)
-    declared_locals = {d.name for d in declarations}
-    for node in cfg.nodes:
-        if node.index not in assigned_in:
-            continue
-        state = assigned_in[node.index]
-        for name in sorted(node.checked_reads):
-            if name in state or _synthesized(name):
+    declared_locals = {d.name for d in body.declarations}
+    if body.cuts or return_names & post_reads or not body_reads.isdisjoint(
+        return_names | declared_locals
+    ):
+        assignment = _DefiniteAssignment(frozenset(method.arg_names))
+        assigned_in = run_forward(cfg, assignment)
+        reachable = assigned_in  # the nodes the flow reaches
+        unassigned = assignment.unassigned
+    else:
+        assigned_in, unassigned = {}, {}
+        reachable = range(len(cfg.nodes))
+    for index in sorted(unassigned):
+        node = cfg.nodes[index]
+        for name in sorted(unassigned[index]):
+            if _synthesized(name):
                 continue
             if name not in return_names and name not in declared_locals:
                 continue  # args and anything unknown are assumed assigned
@@ -1282,41 +1273,44 @@ def _analyze_method(
             ))
 
     # ---- VPR003: unreachable code ---------------------------------------
-    report_reach = _report_reachable(cfg)
-    for node in cfg.nodes:
-        if node.kind not in ("stmt", "branch", "loop-head"):
-            continue
-        if node.index in report_reach:
-            continue
-        if not any(pred in report_reach for pred, _ in cfg.preds[node.index]):
-            continue  # only flag the first statement of a dead region
-        findings.append(Finding(
-            "VPR003",
-            f"method {method.name!r}: unreachable code",
-            CHECKS["VPR003"].severity,
-            method=method.name,
-            line=node.pos,
-            subject=node.stmt,
-        ))
+    # build_cfg links every node from the entry, so only a cut can leave
+    # one unreachable.
+    if body.cuts:
+        report_reach = _report_reachable(cfg)
+        for node in cfg.nodes:
+            if node.kind not in ("stmt", "branch", "loop-head"):
+                continue
+            if node.index in report_reach:
+                continue
+            if not any(pred in report_reach for pred, _ in cfg.preds[node.index]):
+                continue  # only flag the first statement of a dead region
+            findings.append(Finding(
+                "VPR003",
+                f"method {method.name!r}: unreachable code",
+                CHECKS["VPR003"].severity,
+                method=method.name,
+                line=node.pos,
+                subject=node.stmt,
+            ))
 
     # ---- VPR010: divergence-shadowed code (folded, not literal) ----------
-    _check_divergence(method.body, method, findings)
+    if body.may_diverge:
+        _check_divergence(method.body, method, findings)
 
     # ---- VPR004: dead stores --------------------------------------------
-    exit_live = frozenset(return_names) | post_reads
-    live_out = run_liveness(cfg, attrgetter("reads"), attrgetter("defs"), exit_live)
-    for node in cfg.nodes:
+    candidates = [
+        node for node in body.local_assigns
+        # never read at all → VPR005 reports the declaration
+        if node.stmt.target in body_reads
+        and node.index in reachable
+        and not _is_literal_expr(node.stmt.rhs)
+        and not _synthesized(node.stmt.target)
+    ]
+    exit_live = return_names | post_reads
+    for node in candidates:
         stmt = node.stmt
-        if not isinstance(stmt, LocalAssign) or node.kind != "stmt":
+        if live_after(cfg, node.index, stmt.target, _READS_OF, _DEFS_OF, exit_live):
             continue
-        if node.index not in reachable:
-            continue
-        if _is_literal_expr(stmt.rhs) or _synthesized(stmt.target):
-            continue
-        if stmt.target in live_out.get(node.index, frozenset()):
-            continue
-        if stmt.target not in body_reads:
-            continue  # never read at all → VPR005 reports the declaration
         findings.append(Finding(
             "VPR004",
             f"method {method.name!r}: value assigned to {stmt.target!r} is "
@@ -1328,16 +1322,10 @@ def _analyze_method(
         ))
 
     # ---- VPR005: unused locals ------------------------------------------
-    # Writes only (declarations are defs for the assignment analysis but
-    # must not count as "uses" here).
-    body_writes: Set[str] = set()
-    for node in cfg.nodes:
-        if not isinstance(node.stmt, VarDecl):
-            body_writes |= node.defs
-    for decl in declarations:
+    for decl in body.declarations:
         if _synthesized(decl.name):
             continue
-        if decl.name in body_reads or decl.name in body_writes:
+        if decl.name in body_reads or decl.name in body.writes:
             continue
         findings.append(Finding(
             "VPR005",
@@ -1351,7 +1339,7 @@ def _analyze_method(
 
     # ---- VPR007: unused arguments ---------------------------------------
     # (``body_reads`` includes every loop invariant's reads.)
-    used = spec_reads | body_reads | body_defs
+    used = spec_reads | body_reads | body.defs
     for name, _ in method.args:
         if name in used or _synthesized(name):
             continue
@@ -1367,24 +1355,19 @@ def _analyze_method(
     # ---- VPR008: permission flow ----------------------------------------
     # Every VPR008 finding names a field its statement or spec mentions.
     if method_fields:
-        findings.extend(_check_permissions(method, fields, cfg))
+        findings.extend(
+            _check_permissions(method, fields, cfg, pre_plan, post_plan, body.scale)
+        )
 
     # ---- VPR009(b): trivially-true asserts ------------------------------
-    for node in cfg.stmt_nodes():
-        stmt = node.stmt
-        if (
-            isinstance(stmt, AssertStmt)
-            and isinstance(stmt.assertion, AExpr)
-            and isinstance(stmt.assertion.expr, BoolLit)
-            and stmt.assertion.expr.value
-        ):
-            findings.append(Finding(
-                "VPR009",
-                f"method {method.name!r}: `assert true` checks nothing",
-                CHECKS["VPR009"].severity,
-                method=method.name,
-                line=node.pos,
-                subject=stmt,
-            ))
+    for node in body.trivial_asserts:
+        findings.append(Finding(
+            "VPR009",
+            f"method {method.name!r}: `assert true` checks nothing",
+            CHECKS["VPR009"].severity,
+            method=method.name,
+            line=node.pos,
+            subject=node.stmt,
+        ))
 
     return findings

@@ -88,6 +88,8 @@ def suppressed_lines(source: str) -> Dict[int, Optional[Set[str]]]:
     """Map 1-based line numbers to their suppression: ``None`` means the
     whole line is suppressed, a set restricts it to those check IDs."""
     result: Dict[int, Optional[Set[str]]] = {}
+    if _SUPPRESS_RE.search(source) is None:
+        return result  # one scan of the text; most programs have no marker
     for number, text in enumerate(source.splitlines(), start=1):
         match = _SUPPRESS_RE.search(text)
         if match is None:

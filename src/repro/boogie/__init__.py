@@ -62,7 +62,6 @@ from .interp import (  # noqa: F401
     Interpretation,
     InterpretationError,
 )
-from .polymaps import desugar_program, PolymapEnv  # noqa: F401
 from .pretty import pretty_bexpr, pretty_boogie_program, pretty_procedure  # noqa: F401
 from .prover import (  # noqa: F401
     check_vc_bounded,

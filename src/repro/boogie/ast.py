@@ -206,7 +206,7 @@ class FuncApp:
 
 @dataclass(frozen=True)
 class MapSelect:
-    """``map[indices]`` — sugar eliminated by the polymap desugaring pass."""
+    """``map[indices]`` — sugar; the translation emits read functions."""
 
     map: "BExpr"
     type_args: Tuple[BType, ...]

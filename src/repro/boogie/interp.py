@@ -10,9 +10,9 @@ finitely-sampled interpretations:
 
 * :class:`Interpretation` holds carrier samples for uninterpreted types and
   Python callables for uninterpreted functions.
-* ``check_axioms_bounded`` evaluates each axiom over the sampled carriers —
-  the executable counterpart of the paper's once-and-for-all Isabelle proof
-  that the chosen interpretation satisfies the axioms (AxiomSat in Fig. 9).
+* ``check_axioms_bounded`` evaluates each axiom over the sampled carriers
+  (bounded AxiomSat, Fig. 9); the kernel skips the seven background schemas,
+  which the suite checks once: the analog of the paper's Isabelle lemma.
 
 The *standard interpretation* for the Viper encoding (heap/mask carriers as
 partial maps with a default-value ``read`` — the circularity-breaking model

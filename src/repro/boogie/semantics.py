@@ -313,8 +313,8 @@ def _compile_map(expr: Union[MapSelect, MapStore], ctx: BoogieContext) -> Compil
         payload = _map_payload(map_value)
         if key not in payload:
             raise InterpretationError(
-                "select on unstored key of a sugar-level polymorphic map; "
-                "run the polymap desugaring pass first"
+                "select on unstored key of a sugar-level map; encode the "
+                "map with read/update functions instead"
             )
         return payload.get(key)
 

@@ -122,12 +122,11 @@ def build_background(field_types: Mapping[str, Type]) -> BackgroundTheory:
         FuncDecl(GOOD_MASK, (), (MASK_TYPE,), BOOL),
         FuncDecl(ID_ON_POSITIVE, (), (HEAP_TYPE, HEAP_TYPE, MASK_TYPE), BOOL),
     )
-    axioms = _background_axioms()
     return BackgroundTheory(
         type_decls=type_decls,
         consts=tuple(consts),
         functions=functions,
-        axioms=axioms,
+        axioms=BACKGROUND_AXIOMS,
         field_types=dict(field_types),
     )
 
@@ -152,7 +151,7 @@ def _background_axioms() -> Tuple[AxiomDecl, ...]:
     distinct = BBinOp(
         BBinOpKind.OR, BBinOp(BBinOpKind.NE, r, r2), BBinOp(BBinOpKind.NE, f, f2)
     )
-    axioms = (
+    return (
         AxiomDecl(
             Forall(
                 ("T",),
@@ -242,7 +241,10 @@ def _background_axioms() -> Tuple[AxiomDecl, ...]:
             comment="idOnPositive preserves permissioned locations",
         ),
     )
-    return axioms
+
+
+#: Built once: every translation emits these, and the kernel recognises them.
+BACKGROUND_AXIOMS: Tuple[AxiomDecl, ...] = _background_axioms()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,10 @@ Each iteration of :func:`run_fuzz` exercises the full trust story once:
    semantic disagreement means ``oracle-disagreement`` (a soundness bug —
    the kernel certified a lie), while semantic agreement is recorded as
    ``mutant-accept-benign`` (the corruption was provably inert; the kernel
-   was *right* to accept).
+   was *right* to accept).  When the mutant's axioms differ from the
+   pristine ones, the oracle first evaluates every axiom again, with no
+   schema recognised, so an axiom false on the sampled carriers that the
+   kernel let through is an ``oracle-disagreement`` too.
 
 Failures are deduplicated by bucket signature, persisted to a replayable
 corpus (:mod:`repro.fuzz.corpus`), and delta-debugged to minimal
@@ -51,7 +54,9 @@ from ..certification.prooftree import (
     CertificateParseError,
     parse_program_certificate,
 )
+from ..boogie.interp import check_axioms_bounded
 from ..certification.theorem import check_program_certificate
+from ..frontend.background import constant_valuation, standard_interpretation
 from ..frontend.translator import TranslationOptions, TranslationResult
 from ..pipeline import ArtifactCache, PipelineError, run_pipeline
 from ..pipeline.executor import parallel_map_batches, resolve_jobs
@@ -246,8 +251,20 @@ def _judge_mutation(
         pristine.certificate
     ) and mutation.result is pristine.result:
         return "mutant-noop", "mutation denoted the identical certificate"
+    result = mutation.result
+    if result.boogie_program.axioms != pristine.result.boogie_program.axioms:
+        axioms = check_axioms_bounded(
+            result.boogie_program,
+            standard_interpretation(result.type_info.field_types),
+            constant_valuation(result.background),
+        )
+        if not axioms.ok:
+            return (
+                "oracle-disagreement",
+                f"kernel accepted mutant but an axiom is false: {axioms.detail}",
+            )
     verdicts = validate_program_semantically(
-        mutation.result,
+        result,
         max_states_per_method=config.oracle_states,
         max_viper_paths=config.oracle_viper_paths,
         max_boogie_paths=config.oracle_boogie_paths,

@@ -11,7 +11,9 @@ story and is tagged with it:
 * **Boogie mutators** simulate translator bugs — the generated code no
   longer simulates the Viper statement (swapped literals, dropped or
   duplicated or reordered commands, asserts weakened to assumes, retargeted
-  state updates, truncated obligations);
+  state updates, truncated obligations), or a background axiom is no
+  longer one of the schemas the kernel recognises
+  (:func:`axiom_perturbations`);
 * **hint mutators** simulate a lying tactic/instrumentation — the proof
   tree claims a different translation variant than the one emitted
   (wd-check flags flipped both ways, fast-path claims against temp-based
@@ -42,17 +44,24 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..boogie.ast import (
     Assign,
     Assume,
+    AxiomDecl,
     BAssert,
     BBinOp,
+    BBinOpKind,
     BIf,
     BIntLit,
+    BRealLit,
     BUnOp,
+    BUnOpKind,
+    BVar,
     CondB,
+    Forall,
     FuncApp,
     Havoc,
     MapSelect,
@@ -60,6 +69,7 @@ from ..boogie.ast import (
     Procedure,
     SimpleCmd,
     StmtBlock,
+    subst_expr,
 )
 from ..certification.prooftree import (
     parse_program_certificate,
@@ -95,6 +105,7 @@ from ..viper.ast import (
 from ..viper.pretty import pretty_program
 
 __all__ = [
+    "axiom_perturbations",
     "Mutation",
     "MutationSubject",
     "Mutator",
@@ -481,6 +492,92 @@ def _mut_truncate_body(rng: random.Random, subject: MutationSubject) -> Optional
             detail=f"body of {proc_name} truncated after {keep} commands",
         )
     return None
+
+
+_SWAP = {BBinOpKind.EQ: BBinOpKind.NE, BBinOpKind.NE: BBinOpKind.EQ}
+
+
+def _rebuild(expr, path, replacement):
+    """``expr`` with the subterm at ``path`` (field names) replaced."""
+    if not path:
+        return replacement
+    head, rest = path[0], path[1:]
+    fields = dict(expr.__dict__)
+    fields[head] = _rebuild(fields[head], rest, replacement)
+    return type(expr)(**fields)
+
+
+def _subterms(expr, path=()):
+    yield path, expr
+    for name in ("left", "right", "operand", "body", "cond", "then", "otherwise"):
+        child = getattr(expr, name, None)
+        if child is not None and not isinstance(child, (str, tuple, BBinOpKind)):
+            yield from _subterms(child, path + (name,))
+
+
+def axiom_perturbations(axiom_expr: Forall, rng: random.Random):
+    """(kind, perturbed expression) for one ``forall`` background axiom.
+
+    None of them equals the axiom, so the kernel must evaluate each one.
+    A negated body, ``==``/``!=`` swapped, a real literal changed, or an
+    antecedent (or one of its operands) dropped may make the axiom false;
+    a consistent renaming of a bound variable keeps it true.
+    """
+    body = axiom_expr.body
+    yield "negate-body", Forall(axiom_expr.type_vars, axiom_expr.bound, BUnOp(BUnOpKind.NOT, body))
+    for path, sub in _subterms(axiom_expr):
+        if isinstance(sub, BBinOp) and sub.op in _SWAP:
+            swapped = BBinOp(_SWAP[sub.op], sub.left, sub.right)
+            yield f"swap-{sub.op.name}", _rebuild(axiom_expr, path, swapped)
+        if isinstance(sub, BRealLit):
+            choices = [
+                value for value in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-1))
+                if value != sub.value
+            ]
+            yield "change-real", _rebuild(axiom_expr, path, BRealLit(rng.choice(choices)))
+    if isinstance(body, BBinOp) and body.op is BBinOpKind.IMPLIES:
+        yield "drop-antecedent", Forall(axiom_expr.type_vars, axiom_expr.bound, body.right)
+        antecedent = body.left
+        if isinstance(antecedent, BBinOp) and antecedent.op in (BBinOpKind.AND, BBinOpKind.OR):
+            for kept in (antecedent.left, antecedent.right):
+                weakened = BBinOp(BBinOpKind.IMPLIES, kept, body.right)
+                yield f"drop-{antecedent.op.name}-operand", Forall(
+                    axiom_expr.type_vars, axiom_expr.bound, weakened
+                )
+    names = [name for name, _ in axiom_expr.bound]
+    old = names[rng.randrange(len(names))]
+    new = next(f"{old}_{n}" for n in itertools.count() if f"{old}_{n}" not in names)
+    bound = tuple((new if name == old else name, typ) for name, typ in axiom_expr.bound)
+    yield "rename-bound", Forall(axiom_expr.type_vars, bound, subst_expr(body, {old: BVar(new)}))
+
+
+def _mut_perturb_axiom(rng: random.Random, subject: MutationSubject) -> Optional[Mutation]:
+    """Perturb every ``forall`` axiom, so that none is a schema instance:
+    the kernel must evaluate all of them, true renamings included.  The
+    translation's background theory carries the same perturbed axioms, as
+    a bug in building it would, so a kernel that trusted it to say which
+    axioms are schemas would be caught too."""
+    result = subject.result
+    axioms, edits = [], []
+    for index, axiom in enumerate(result.boogie_program.axioms):
+        if isinstance(axiom.expr, Forall):
+            kind, perturbed = rng.choice(list(axiom_perturbations(axiom.expr, rng)))
+            axiom = AxiomDecl(perturbed, axiom.comment)
+            edits.append(f"#{index} {kind}")
+        axioms.append(axiom)
+    if not edits:
+        return None
+    return Mutation(
+        mutator="boogie-perturb-axiom",
+        artifact="boogie",
+        result=replace(
+            result,
+            background=replace(result.background, axioms=tuple(axioms)),
+            boogie_program=replace(result.boogie_program, axioms=tuple(axioms)),
+        ),
+        certificate_text=subject.certificate_text,
+        detail="axioms perturbed: " + ", ".join(edits),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1149,14 @@ MUTATORS: Tuple[Mutator, ...] = (
         "correctly-typed, non-aliased Boogie variables",
         _mut_cert_corrupt_record,
         spec_section="§3 (translation-record lines)",
+    ),
+    # -- a background axiom that is no longer a schema instance ---------------
+    Mutator(
+        "boogie-perturb-axiom", "boogie",
+        "schema recognition: only an axiom equal to a background schema "
+        "skips evaluation; every other axiom is evaluated, and one false "
+        "on the sampled carriers must be rejected",
+        _mut_perturb_axiom,
     ),
 )
 

@@ -195,6 +195,9 @@ def _probe_units(ctx: PipelineContext) -> Dict[str, Optional[UnitEntry]]:
     """
     if ctx._unit_entries is not None:
         return ctx._unit_entries
+    if ctx.cache is None:  # nothing to look up, so no probe to time
+        ctx._unit_entries = dict.fromkeys(ctx.unit_keys or {})
+        return ctx._unit_entries
     entries: Dict[str, Optional[UnitEntry]] = {}
     inst = ctx.instrumentation
     # The probe's wall-time is cache *lookup*, not stage work: it accrues
@@ -203,12 +206,9 @@ def _probe_units(ctx: PipelineContext) -> Dict[str, Optional[UnitEntry]]:
     # keeps `bench --json` stage numbers and trace spans in agreement).
     with inst.cache_lookup():
         for name, key in (ctx.unit_keys or {}).items():
-            entry = ctx.cache.get_unit(key) if ctx.cache is not None else None
+            entry = ctx.cache.get_unit(key)
             entries[name] = entry
-            if ctx.cache is not None:
-                inst.increment(
-                    "unit_cache.hit" if entry is not None else "unit_cache.miss"
-                )
+            inst.increment("unit_cache.hit" if entry is not None else "unit_cache.miss")
     ctx._unit_entries = entries
     return entries
 

@@ -170,7 +170,6 @@ DEFAULT_POLICY = TrustPolicy(
         ("repro.boogie", "untrusted-but-checked"),
         ("repro.boogie.*", "trusted"),
         ("repro.boogie.pretty", "untrusted-but-checked"),
-        ("repro.boogie.polymaps", "untrusted-but-checked"),
         # -- certification ------------------------------------------------
         ("repro.certification", "untrusted-but-checked"),
         ("repro.certification.*", "trusted"),

@@ -27,10 +27,10 @@ Timing notes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..pipeline.instrumentation import PipelineInstrumentation
-from .spans import Span, SpanContext, TraceCollector, new_span_id
+from .spans import new_span_ids, Span, SpanContext, TraceCollector
 
 #: Skipped-stage spans are emitted with this duration (zero-width slices
 #: are invisible in Chrome's viewer; one microsecond marks the event).
@@ -48,7 +48,14 @@ def spans_from_instrumentation(
     them to ``collector`` when one is given.
     """
     spans: List[Span] = []
-    stage_contexts = {}
+    stage_ids: Dict[str, str] = {}
+    trace_id, root_id, to_unix = parent.trace_id, parent.span_id, inst.to_unix
+    # Every id this pass may need, from one read of the entropy source: a
+    # span and a cache-probe child per stage record, a span per unit.
+    ids = new_span_ids(2 * len(inst.records) + len(inst.unit_records))
+    # Spans are built positionally, in field order (name, trace_id,
+    # span_id, parent_id, start_unix, duration, attributes): this pass is
+    # what tracing costs a request (docs/OBSERVABILITY.md).
     for record in inst.records:
         started = record.started
         if started is None:
@@ -58,61 +65,42 @@ def spans_from_instrumentation(
             attributes["cached"] = True
         if record.skipped:
             attributes["skipped"] = True
-        for name, value in record.artifacts.items():
-            attributes[name] = value
+        attributes.update(record.artifacts)
         # The span covers the stage's wall-clock (work + cache probes);
         # the cache_lookup child below carves out the probe share, so
         # span − child = the record's ``seconds`` — the same number
         # ``bench --json`` reports as stage work.
-        wall = record.seconds + record.cache_lookup_seconds
-        if record.cache_lookup_seconds:
+        probe = record.cache_lookup_seconds
+        wall = record.seconds + probe
+        if probe:
             attributes["work_seconds"] = record.seconds
-            attributes["cache_lookup_seconds"] = record.cache_lookup_seconds
-        span = Span(
-            name=f"stage.{record.stage}",
-            trace_id=parent.trace_id,
-            span_id=new_span_id(),
-            parent_id=parent.span_id,
-            start_unix=inst.to_unix(started),
-            duration=wall if (wall or not record.skipped) else _SKIP_WIDTH,
-            attributes=attributes,
-        )
-        spans.append(span)
+            attributes["cache_lookup_seconds"] = probe
+        span_id = next(ids)
+        spans.append(Span(
+            "stage." + record.stage, trace_id, span_id, root_id, to_unix(started),
+            wall if (wall or not record.skipped) else _SKIP_WIDTH, attributes,
+        ))
         # Later records of the same stage win: unit spans recorded after a
         # stage re-run should parent under the most recent execution.
-        stage_contexts[record.stage] = span.context()
-        if record.cache_lookup_seconds:
-            spans.append(
-                Span(
-                    name="cache_lookup",
-                    trace_id=parent.trace_id,
-                    span_id=new_span_id(),
-                    parent_id=span.span_id,
-                    # Probes run at stage entry (unit keys are resolved
-                    # before any rebuild), so anchoring at the stage start
-                    # is the faithful layout.
-                    start_unix=inst.to_unix(started),
-                    duration=record.cache_lookup_seconds,
-                )
-            )
+        stage_ids[record.stage] = span_id
+        if probe:
+            # Probes run at stage entry (unit keys are resolved before any
+            # rebuild), so anchoring at the stage start is the faithful
+            # layout.
+            spans.append(Span(
+                "cache_lookup", trace_id, next(ids), span_id, to_unix(started), probe,
+            ))
     for record in inst.unit_records:
         if record.started is None:
             continue
-        stage_ctx = stage_contexts.get(record.stage, parent)
         attributes = {"method": record.method, "tier": record.tier}
         if record.reused:
             attributes["reused"] = True
-        spans.append(
-            Span(
-                name=f"unit.{record.stage}",
-                trace_id=parent.trace_id,
-                span_id=new_span_id(),
-                parent_id=stage_ctx.span_id,
-                start_unix=inst.to_unix(record.started),
-                duration=record.seconds if not record.reused else _SKIP_WIDTH,
-                attributes=attributes,
-            )
-        )
+        spans.append(Span(
+            "unit." + record.stage, trace_id, next(ids),
+            stage_ids.get(record.stage, root_id), to_unix(record.started),
+            record.seconds if not record.reused else _SKIP_WIDTH, attributes,
+        ))
     if collector is not None:
         collector.extend(spans)
     return spans

@@ -53,6 +53,13 @@ def new_span_id() -> str:
     return os.urandom(8).hex()
 
 
+def new_span_ids(count: int) -> Iterator[str]:
+    """Up to ``count`` fresh span identifiers, from one read of the
+    entropy source and sliced as they are taken."""
+    pool = os.urandom(8 * count).hex()
+    return (pool[start:start + 16] for start in range(0, 16 * count, 16))
+
+
 @dataclass(frozen=True)
 class SpanContext:
     """The propagatable part of a span: just enough to parent children."""

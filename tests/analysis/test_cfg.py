@@ -1,7 +1,15 @@
 """Unit tests for the CFG builder and the dataflow engines."""
 
-from repro.analysis import CFG, ForwardAnalysis, build_cfg, run_forward, run_liveness
+import pathlib
+from operator import attrgetter
+
+from repro.analysis import CFG, ForwardAnalysis, build_cfg, live_after, run_forward
+from repro.analysis.checks import _annotate
+from repro.fuzz.generate import generate_program
+from repro.harness import full_corpus
 from repro.viper import parse_program
+
+from tests.analysis.reference_liveness import run_liveness
 
 
 def _body(source: str):
@@ -129,9 +137,41 @@ def test_liveness_exit_set_keeps_out_params_live():
         target = getattr(node.stmt, "target", None)
         return frozenset({target}) if isinstance(target, str) else frozenset()
 
-    live_out = run_liveness(cfg, uses, defs, exit_live=frozenset({"res"}))
     stmt_nodes = cfg.stmt_nodes()
     # `res` is live after the second assignment (the exit reads it) but dead
     # after the first (the second assignment kills it).
-    assert "res" in live_out[stmt_nodes[1].index]
-    assert "res" not in live_out[stmt_nodes[0].index]
+    exit_live = frozenset({"res"})
+    assert live_after(cfg, stmt_nodes[1].index, "res", uses, defs, exit_live)
+    assert not live_after(cfg, stmt_nodes[0].index, "res", uses, defs, exit_live)
+
+
+def _annotated_method_cfgs():
+    """Every method body of the benchmark corpus, the seeded-defect corpus
+    and 50 generated programs (61 loops among them), annotated."""
+    sources = [f.source for files in full_corpus().values() for f in files]
+    corpus_dir = pathlib.Path(__file__).parent / "corpus"
+    sources += [path.read_text() for path in sorted(corpus_dir.glob("*.vpr"))]
+    sources += [generate_program(seed).source for seed in range(50)]
+    for source in sources:
+        program = parse_program(source)
+        fields = tuple(decl.name for decl in program.fields)
+        for method in program.methods:
+            if method.body is not None:
+                cfg = build_cfg(method.body)
+                _annotate(cfg, fields)
+                yield method, cfg
+
+
+def test_live_after_agrees_with_the_whole_cfg_solver():
+    uses, defs = attrgetter("reads"), attrgetter("defs")
+    answers = {True: 0, False: 0}
+    for method, cfg in _annotated_method_cfgs():
+        exit_live = frozenset(method.return_names)
+        live_out = run_liveness(cfg, uses, defs, exit_live)
+        names = exit_live.union(*(node.reads | node.defs for node in cfg.nodes))
+        for node in cfg.nodes:
+            for name in names:
+                live = live_after(cfg, node.index, name, uses, defs, exit_live)
+                assert live == (name in live_out[node.index]), (method.name, node, name)
+                answers[live] += 1
+    assert min(answers.values()) > 1000, answers

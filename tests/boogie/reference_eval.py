@@ -79,8 +79,8 @@ def eval_bexpr(expr: BExpr, state: BoogieState, ctx: BoogieContext) -> BValue:
         payload = _map_payload(map_value)
         if key not in payload:
             raise InterpretationError(
-                "select on unstored key of a sugar-level polymorphic map; "
-                "run the polymap desugaring pass first"
+                "select on unstored key of a sugar-level map; encode the "
+                "map with read/update functions instead"
             )
         return payload.get(key)
     if isinstance(expr, MapStore):

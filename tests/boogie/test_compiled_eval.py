@@ -7,13 +7,19 @@ value or raise the same exception class:
 
 * every corpus program's background axioms under that program's standard
   interpretation;
-* seeded perturbations of each background axiom, where the bounded axiom
-  check must also fail exactly when the reference finds the perturbed
-  axiom false;
+* seeded perturbations of each background axiom
+  (:func:`repro.fuzz.mutators.axiom_perturbations`), where the bounded
+  axiom check must also fail exactly when the reference finds the
+  perturbed axiom false;
 * seeded well-typed expressions mixing arithmetic, ``if-then-else``, map
   select/store, nested ``forall``/``exists`` and type quantifiers;
 * a few hand-written cases where evaluation must raise only when it
   reaches the offending subterm.
+
+It also tests the symmetry argument behind the background lemma
+(``tests/certification/test_background_lemma.py``): on seeded field
+profiles, the full carriers and the reduced ones give every perturbation
+the same verdict.
 """
 
 from __future__ import annotations
@@ -53,10 +59,12 @@ from repro.boogie.semantics import BoogieContext, eval_bexpr
 from repro.boogie.state import BoogieState
 from repro.boogie.values import BVBool, BVInt, BVReal, FrozenMap, UValue
 from repro.frontend.background import (
+    BACKGROUND_AXIOMS,
     build_background,
     constant_valuation,
     standard_interpretation,
 )
+from repro.fuzz.mutators import axiom_perturbations
 from repro.harness import full_corpus
 from repro.pipeline import run_pipeline
 from repro.viper.ast import Type
@@ -124,51 +132,6 @@ def test_corpus_axioms_evaluate_alike():
 #: Three fields, one per carrier shape the heap sample distinguishes.
 FIELDS = {"a": Type.INT, "b": Type.REF, "c": Type.BOOL}
 
-_SWAP = {BBinOpKind.EQ: BBinOpKind.NE, BBinOpKind.NE: BBinOpKind.EQ}
-
-
-def _rebuild(expr, path, replacement):
-    """``expr`` with the subterm at ``path`` (field names) replaced."""
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    fields = dict(expr.__dict__)
-    fields[head] = _rebuild(fields[head], rest, replacement)
-    return type(expr)(**fields)
-
-
-def _subterms(expr, path=()):
-    yield path, expr
-    for name in ("left", "right", "operand", "body", "cond", "then", "otherwise"):
-        child = getattr(expr, name, None)
-        if child is not None and not isinstance(child, (str, tuple, BBinOpKind)):
-            yield from _subterms(child, path + (name,))
-
-
-def _perturbations(axiom_expr, rng):
-    """(kind, perturbed expression) for one ``forall`` background axiom."""
-    body = axiom_expr.body
-    yield "negate-body", Forall(axiom_expr.type_vars, axiom_expr.bound, BUnOp(BUnOpKind.NOT, body))
-    for path, sub in _subterms(axiom_expr):
-        if isinstance(sub, BBinOp) and sub.op in _SWAP:
-            swapped = BBinOp(_SWAP[sub.op], sub.left, sub.right)
-            yield f"swap-{sub.op.name}", _rebuild(axiom_expr, path, swapped)
-        if isinstance(sub, BRealLit):
-            choices = [
-                value for value in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-1))
-                if value != sub.value
-            ]
-            yield "change-real", _rebuild(axiom_expr, path, BRealLit(rng.choice(choices)))
-    if isinstance(body, BBinOp) and body.op is BBinOpKind.IMPLIES:
-        yield "drop-antecedent", Forall(axiom_expr.type_vars, axiom_expr.bound, body.right)
-        antecedent = body.left
-        if isinstance(antecedent, BBinOp) and antecedent.op in (BBinOpKind.AND, BBinOpKind.OR):
-            for kept in (antecedent.left, antecedent.right):
-                weakened = BBinOp(BBinOpKind.IMPLIES, kept, body.right)
-                yield f"drop-{antecedent.op.name}-operand", Forall(
-                    axiom_expr.type_vars, axiom_expr.bound, weakened
-                )
-
 
 def test_perturbed_axioms_evaluate_alike_and_decide_the_check():
     background = build_background(FIELDS)
@@ -177,7 +140,7 @@ def test_perturbed_axioms_evaluate_alike_and_decide_the_check():
     rng = random.Random(15)
     kinds, verdicts = Counter(), Counter()
     for index, axiom in enumerate(background.axioms):
-        for kind, perturbed in _perturbations(axiom.expr, rng):
+        for kind, perturbed in axiom_perturbations(axiom.expr, rng):
             axioms = list(background.axioms)
             axioms[index] = AxiomDecl(perturbed, comment=f"{kind} of {axiom.comment}")
             program = BoogieProgram(
@@ -195,10 +158,65 @@ def test_perturbed_axioms_evaluate_alike_and_decide_the_check():
                 assert result.failed_axiom is axioms[index]
             kinds[kind.split("-")[0]] += 1
             verdicts[holds] += 1
-    assert {"negate", "swap", "change", "drop"} <= set(kinds), kinds
-    assert kinds["negate"] == len(background.axioms)
+            # A renamed bound variable keeps the axiom true.
+            assert holds or kind != "rename-bound", axioms[index].comment
+    assert {"negate", "swap", "change", "drop", "rename"} <= set(kinds), kinds
+    assert kinds["negate"] == kinds["rename"] == len(background.axioms)
     # Both verdicts occur: some perturbations are caught, some are benign.
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _seeded_profile(rng):
+    """1 to 8 fields of each type, under shuffled names."""
+    profile = {}
+    for typ in Type:
+        for _ in range(rng.randint(1, 8)):
+            profile[f"{rng.choice('pqrstuvw')}{len(profile)}"] = typ
+    return profile
+
+
+def _reduced(profile):
+    """The two smallest names plus two more fields of each type."""
+    names = sorted(profile)
+    kept = names[:2]
+    for typ in Type:
+        kept += [name for name in names[2:] if profile[name] is typ][:2]
+    return {name: profile[name] for name in kept}
+
+
+@pytest.mark.parametrize("seed", [7, 14])
+def test_reduced_carriers_decide_every_perturbation_as_the_full_ones(seed):
+    """The symmetry argument of docs/TRUSTED_BASE.md ("The background
+    lemma"), tested: dropping all fields but the two smallest and two more
+    of each type changes no verdict of a ``forall`` over a quantifier-free
+    body with at most two field variables."""
+    rng = random.Random(seed)
+    profile = _seeded_profile(rng)
+    reduced = _reduced(profile)
+    assert len(reduced) < len(profile)
+    settings = [
+        _axiom_setting(
+            BoogieProgram(), standard_interpretation(fields),
+            constant_valuation(build_background(fields)),
+        )
+        for fields in (profile, reduced)
+    ]
+    cases = [
+        (f"{kind} of {axiom.comment}", perturbed)
+        for axiom in BACKGROUND_AXIOMS
+        for kind, perturbed in axiom_perturbations(axiom.expr, rng)
+    ]
+    # Only two distinct fields of one type refute this: why two per type.
+    field_t = TCon("Field", (TVar("T"),))
+    same = BBinOp(BBinOpKind.EQ, BVar("f"), BVar("f2"))
+    cases.append(("one field per type", Forall(("T",), (("f", field_t), ("f2", field_t)), same)))
+    verdicts = Counter()
+    for note, expr in cases:
+        full, small = (eval_bexpr(expr, state, ctx) for state, ctx in settings)
+        assert full == small, (note, sorted(profile))
+        verdicts[full] += 1
+    assert full == BVBool(False)
+    assert verdicts[BVBool(True)] and verdicts[BVBool(False)], verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,27 @@ class TestCommandsAndNumericRelaxation:
             ),
         )
         check(program)
+
+    def test_polymorphic_map_store_select(self):
+        """The Viper heap as a polymorphic map, ``<T>[Ref, Field T]T``:
+        a store, then a select at an instantiated field type."""
+        from repro.boogie import MapSelect, MapStore
+
+        heap = MapType(("T",), (TCon("Ref"), TCon("Field", (TVar("T"),))), TVar("T"))
+        location = (BVar("r"), BVar("f"))
+        program = BoogieProgram(
+            type_decls=(TypeConDecl("Ref", 0), TypeConDecl("Field", 1)),
+            consts=(ConstDecl("r", TCon("Ref")), ConstDecl("f", TCon("Field", (INT,)))),
+            globals=(GlobalVarDecl("H", heap),),
+            procedures=(
+                Procedure(
+                    "p",
+                    (("v", INT),),
+                    single_block(
+                        Assign("H", MapStore(BVar("H"), (INT,), location, BIntLit(1))),
+                        Assign("v", MapSelect(BVar("H"), (INT,), location)),
+                    ),
+                ),
+            ),
+        )
+        check(program)

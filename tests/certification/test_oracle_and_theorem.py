@@ -1,7 +1,11 @@
 """Tests for the semantic oracle and final-theorem assembly (Sec. 4.5)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
+from repro.boogie.ast import AxiomDecl
 from repro.certification import certify_translation, check_program_certificate
 from repro.certification.oracle import (
     validate_method_semantically,
@@ -10,6 +14,7 @@ from repro.certification.oracle import (
 from repro.certification.relations import boogie_state_for, rel_holds, SimRel
 from repro.frontend import translate_program, TranslationOptions
 from repro.frontend.background import constant_valuation
+from repro.fuzz.mutators import axiom_perturbations
 
 from tests.helpers import parsed
 
@@ -179,6 +184,81 @@ class TestFinalTheorem:
         _cert, report = certify_translation(result)
         assert report.axioms_ok
         assert report.boogie_typechecks
+
+    def test_64_int_fields_certify_without_evaluating_an_axiom(self, monkeypatch):
+        """Field count is not a CPU-exhaustion input: every axiom the
+        translator emits is a recognised background schema, so the kernel
+        evaluates none of them (evaluated, they cost time quadratic in the
+        number of same-typed fields)."""
+        from repro.certification import theorem
+        from repro.pipeline import run_pipeline
+
+        evaluated = []
+        check = theorem.check_axioms_bounded
+
+        def spy(program, interp, consts):
+            evaluated.extend(program.axioms)
+            return check(program, interp, consts)
+
+        monkeypatch.setattr(theorem, "check_axioms_bounded", spy)
+        fields = "".join(f"field f{i}: Int\n" for i in range(64))
+        ctx = run_pipeline(
+            fields + "method m(x: Ref)\n  requires acc(x.f0, write)\n"
+            "  ensures acc(x.f0, write)\n{ x.f0 := 1 }\n"
+        )
+        assert ctx.report.ok, ctx.report.error
+        assert len(ctx.translation.boogie_program.axioms) == 7
+        assert evaluated == []
+
+    def test_a_true_axiom_that_is_no_schema_is_evaluated(self, monkeypatch):
+        """A consistent renaming of a schema's bound variable is true but no
+        schema instance: the kernel evaluates exactly that axiom, and accepts."""
+        from repro.certification import theorem
+
+        result = translated()
+        certificate, _report = certify_translation(result)
+        schema = result.boogie_program.axioms[0]
+        renamed = AxiomDecl(
+            dict(axiom_perturbations(schema.expr, random.Random(0)))["rename-bound"],
+            schema.comment,
+        )
+        evaluated = []
+        check = theorem.check_axioms_bounded
+
+        def spy(program, interp, consts):
+            evaluated.extend(program.axioms)
+            return check(program, interp, consts)
+
+        monkeypatch.setattr(theorem, "check_axioms_bounded", spy)
+        axioms = (renamed,) + result.boogie_program.axioms[1:]
+        report = check_program_certificate(
+            replace(result, boogie_program=replace(result.boogie_program, axioms=axioms)),
+            certificate,
+        )
+        assert report.ok, report.error
+        assert evaluated == [renamed]
+
+    def test_the_translations_own_background_vouches_for_no_axiom(self):
+        """Only the trusted ``BACKGROUND_AXIOMS`` decide which axioms skip
+        evaluation: a false axiom that the (untrusted) translation also lists
+        in its background theory is still evaluated, and rejected."""
+        result = translated()
+        certificate, report = certify_translation(result)
+        assert report.ok
+        schema = result.boogie_program.axioms[0]
+        false = AxiomDecl(
+            dict(axiom_perturbations(schema.expr, random.Random(0)))["negate-body"],
+            schema.comment,
+        )
+        axioms = result.boogie_program.axioms + (false,)
+        lying = replace(
+            result,
+            background=replace(result.background, axioms=axioms),
+            boogie_program=replace(result.boogie_program, axioms=axioms),
+        )
+        report = check_program_certificate(lying, certificate)
+        assert not report.ok and not report.axioms_ok
+        assert "axiom not satisfied by the model" in report.error
 
     def test_check_seconds_recorded(self):
         result = translated()

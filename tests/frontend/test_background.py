@@ -145,3 +145,23 @@ class TestStandardInterpretation:
         )
         assert UValue("Field", "f") in int_fields
         assert UValue("Field", "g") not in int_fields
+
+
+class TestCircularityModel:
+    def test_empty_map_is_a_legal_heap_value(self):
+        """The partial-map model admits the empty map as a heap — the
+        construction that breaks the impredicativity circularity."""
+        from repro.boogie.ast import TCon
+
+        empty_heap = UValue("HeapType", FrozenMap())
+        assert len(empty_heap.payload) == 0
+        assert empty_heap in standard_interpretation(FIELDS).carrier_of(TCon("HeapType"))
+
+    def test_read_returns_default_outside_domain(self):
+        interp = standard_interpretation({"f": Type.INT})
+        result = interp.apply(
+            "readHeap",
+            (INT,),
+            (UValue("HeapType", FrozenMap()), UValue("Ref", 1), UValue("Field", "f")),
+        )
+        assert result == BVInt(0)

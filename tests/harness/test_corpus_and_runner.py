@@ -92,10 +92,18 @@ class TestRunner:
         # 5% of pipeline wall-clock over the *full* benchmark corpus (the
         # denominator the budget is defined against — tiny suites like MPP
         # legitimately sit higher because their per-file pipelines are
-        # cheap).  ``bench --json`` publishes the same summary.
-        per_suite = {
-            suite: run_files(files) for suite, files in full_corpus().items()
-        }
+        # cheap).  ``bench --json`` publishes the same summary.  The share
+        # is read warm: the median of three passes after an untimed one,
+        # since a first pass pays first calls and any one pass can take a
+        # collection of the whole test session's heap inside ``analyze``.
+        corpus = full_corpus()
+        run_files([f for files in corpus.values() for f in files])
+        passes = sorted(
+            ({suite: run_files(files) for suite, files in corpus.items()}
+             for _ in range(3)),
+            key=lambda per_suite: analysis_overhead(per_suite)["fraction"],
+        )
+        per_suite = passes[1]
         summary = analysis_overhead(per_suite)
         assert summary["analyze_seconds"] > 0
         assert summary["budget_fraction"] == 0.05

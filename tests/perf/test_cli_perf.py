@@ -10,6 +10,7 @@ job runs it.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -179,6 +180,20 @@ class TestBenchDiffRecorded:
         capsys.readouterr()
 
 
+@pytest.fixture
+def small_heap():
+    """Give the in-process CLI the small heap of the fresh process the CI
+    gate runs it in: the test session's objects are collected first and
+    frozen out of the collector's scans meanwhile, so a full collection of
+    them cannot land in one of a few samples' stages and pass for a
+    regression."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.usefixtures("small_heap")
 class TestBenchDiffLive:
     """The CI-gate path: record live, then diff live against it."""
 

@@ -346,9 +346,12 @@ class TestBenchSignals:
         import signal as signal_module
         import time
 
+        # A 50 ms parse delay per file keeps the 72-file run going well past
+        # the signal; undelayed, it can finish before 1.5 s.
+        env = dict(TestFreshProcessRoundTrip._env(), REPRO_STAGE_DELAY="parse=0.05")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "bench"],
-            env=TestFreshProcessRoundTrip._env(),
+            env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         time.sleep(1.5)  # let imports finish and the corpus run start
