@@ -111,6 +111,33 @@ class UnitRecord:
 Observer = Callable[[StageRecord], None]
 
 
+class _StageTimer:
+    """What :meth:`PipelineInstrumentation.stage` returns: a class, not a
+    generator, because every pipeline run enters ten of them."""
+
+    __slots__ = ("_inst", "_record")
+
+    def __init__(self, inst: "PipelineInstrumentation", record: StageRecord) -> None:
+        self._inst, self._record = inst, record
+
+    def __enter__(self) -> StageRecord:
+        record = self._record
+        self._inst._active.append(record)
+        record.started = time.perf_counter()
+        return record
+
+    def __exit__(self, *exc_info) -> None:
+        record, inst = self._record, self._inst
+        elapsed = time.perf_counter() - record.started
+        inst._active.pop()
+        # Stage work excludes cache-probe wall-time: lookups made during
+        # the stage accrue to cache_lookup_seconds instead, so a warm run
+        # does not report lookup latency as stage work.
+        record.seconds = max(0.0, elapsed - record.cache_lookup_seconds)
+        inst._finalise(record)
+        inst.increment(f"stage.{record.stage}.runs")
+
+
 class PipelineInstrumentation:
     """Collects stage records, counters, and artifact sizes for one run.
 
@@ -136,24 +163,9 @@ class PipelineInstrumentation:
 
     # -- recording ---------------------------------------------------------
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[StageRecord]:
+    def stage(self, name: str) -> _StageTimer:
         """Time one stage execution; use as ``with inst.stage('translate'):``."""
-        record = StageRecord(stage=name)
-        start = time.perf_counter()
-        record.started = start
-        self._active.append(record)
-        try:
-            yield record
-        finally:
-            self._active.pop()
-            elapsed = time.perf_counter() - start
-            # Stage work excludes cache-probe wall-time: lookups made
-            # during the stage accrue to cache_lookup_seconds instead, so
-            # a warm run does not report lookup latency as stage work.
-            record.seconds = max(0.0, elapsed - record.cache_lookup_seconds)
-            self._finalise(record)
-            self.increment(f"stage.{name}.runs")
+        return _StageTimer(self, StageRecord(stage=name))
 
     def record_skip(self, name: str, cached: bool = False) -> StageRecord:
         """Record that a stage was skipped (e.g. served from the cache)."""

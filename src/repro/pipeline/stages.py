@@ -74,7 +74,7 @@ from ..viper import (
     program_has_new,
     program_has_old,
 )
-from ..viper.pretty import count_loc
+from ..viper.pretty import count_loc, count_nonblank
 from .cache import ArtifactCache, cache_key, UnitEntry
 from .diagnostics import wrap_exception, wrappable_exceptions
 from .executor import parallel_map
@@ -151,12 +151,15 @@ def _stage_parse(ctx: PipelineContext) -> None:
 
 
 def _stage_desugar(ctx: PipelineContext) -> None:
-    program = ctx.program
-    if program_has_loops(program):
+    # Only the parser builds ``While``, ``NewStmt`` and ``OldExpr`` nodes,
+    # and only from the keywords ``while``, ``new`` and ``old``: without
+    # the keyword in the source, the walk would find no node.
+    source, program = ctx.source, ctx.program
+    if "while" in source and program_has_loops(program):
         program = desugar_loops(program)
-    if program_has_new(program):
+    if "new" in source and program_has_new(program):
         program = desugar_new(program)
-    if program_has_old(program):
+    if "old" in source and program_has_old(program):
         program = desugar_old(program)
     if program_has_complex_call_args(program):
         program = hoist_call_args(program)
@@ -448,7 +451,7 @@ def _record_artifacts(ctx: PipelineContext, stage: Stage) -> None:
             ctx.boogie_text = pretty_boogie_program(ctx.translation.boogie_program)
         inst.artifact("translate", "boogie_loc", count_loc(ctx.boogie_text))
     elif stage.name in ("render", "generate") and ctx.certificate_text is not None:
-        cert_loc = len([l for l in ctx.certificate_text.splitlines() if l.strip()])
+        cert_loc = count_nonblank(ctx.certificate_text.splitlines())
         inst.artifact(stage.name, "cert_loc", cert_loc)
 
 

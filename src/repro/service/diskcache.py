@@ -25,7 +25,13 @@ Design rules (mirroring ``docs/TRUSTED_BASE.md``):
   into ``<root>/quarantine/`` and reported as a miss; the service then
   recomputes and overwrites it.
 * **LRU size bound** — total payload bytes are capped; loads refresh the
-  entry mtime and eviction removes the stalest entries first.
+  entry mtime and eviction removes the stalest entries first.  A store
+  lists the directories only when its running byte total could pass the
+  bound, or after it has written its share of a sixteenth of the bound
+  since its last listing (N workers on one root: a 16·N-th each).
+  Between listings an instance sees only its own writes, so N workers
+  may overshoot by less than a sixteenth of the bound, plus the entries
+  being written at that moment (docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -127,16 +133,27 @@ class DiskCache:
 
     Safe for concurrent use by multiple worker processes sharing one
     root: writes are atomic renames, loads tolerate concurrent eviction,
-    and the LRU bound is enforced best-effort after each store.
+    and the LRU bound is enforced best-effort by the stores that list the
+    directories (see :meth:`_account`).
     """
 
-    def __init__(self, root: os.PathLike, max_bytes: int = 64 * 1024 * 1024):
+    def __init__(
+        self, root: os.PathLike, max_bytes: int = 64 * 1024 * 1024, workers: int = 1
+    ):
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         self.root = Path(root)
         self.max_bytes = max_bytes
+        #: How many instances (worker processes) store into ``root``.
+        self.workers = max(1, workers)
         self.stats = DiskCacheStats()
         self._lock = threading.Lock()
+        # One listing at a time, so each reads the total the last one left.
+        self._listing = threading.Lock()
+        # The running byte total: what the last listing found (None until
+        # the first store lists), plus what this instance stored since.
+        self._scanned_bytes: Optional[int] = None
+        self._stored_bytes = 0
         self.root.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         self.units_dir.mkdir(parents=True, exist_ok=True)
@@ -174,14 +191,7 @@ class DiskCache:
             "artifacts": dict(artifacts),
             "digest": _artifacts_digest(artifacts),
         }
-        path = self.path_for(key)
-        tmp = path.with_name(f".tmp-{uuid.uuid4().hex}")
-        tmp.write_text(json.dumps(envelope, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-        with self._lock:
-            self.stats.stores += 1
-        self._evict_to_bound()
-        return path
+        return self._write(self.path_for(key), envelope)
 
     def load(self, key: DiskKey) -> Optional[DiskEntry]:
         """Load one entry; quarantines and misses on any corruption."""
@@ -238,14 +248,7 @@ class DiskCache:
             "artifacts": dict(artifacts),
             "digest": _artifacts_digest(artifacts),
         }
-        path = self.unit_path_for(unit_key)
-        tmp = path.with_name(f".tmp-{uuid.uuid4().hex}")
-        tmp.write_text(json.dumps(envelope, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-        with self._lock:
-            self.stats.stores += 1
-        self._evict_to_bound()
-        return path
+        return self._write(self.unit_path_for(unit_key), envelope)
 
     def load_unit(self, unit_key: str) -> Optional[UnitDiskEntry]:
         """Load one unit envelope; quarantines and misses on corruption."""
@@ -329,6 +332,44 @@ class DiskCache:
 
     # -- bookkeeping -------------------------------------------------------
 
+    def _write(self, path: Path, envelope: Dict[str, object]) -> Path:
+        """Write ``envelope`` to ``path`` atomically, then count its bytes."""
+        data = json.dumps(envelope, sort_keys=True).encode("utf-8")
+        tmp = path.with_name(f".tmp-{uuid.uuid4().hex}")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+        with self._lock:
+            self.stats.stores += 1
+        self._account(len(data))
+        return path
+
+    @property
+    def _slack(self) -> int:
+        """The most this instance stores between two listings: its share
+        of a sixteenth of the bound, so ``workers`` instances together
+        overshoot by less than a sixteenth."""
+        return self.max_bytes // (16 * self.workers)
+
+    def _account(self, size: int) -> None:
+        """Add one store's bytes to the running total; list and evict only
+        when the total could pass ``max_bytes``, or when this instance has
+        stored :attr:`_slack` bytes since its last listing.
+
+        The total over-counts an overwrite, a quarantine and another
+        instance's eviction, which only brings the next listing sooner.
+        What it misses are other instances' stores; the periodic listing
+        bounds those (docs/SERVICE.md).
+        """
+        with self._lock:
+            if self._scanned_bytes is not None:
+                self._stored_bytes += size
+                if (
+                    self._scanned_bytes + self._stored_bytes <= self.max_bytes
+                    and self._stored_bytes < self._slack
+                ):
+                    return
+        self._evict_to_bound()
+
     def _touch(self, path: Path) -> None:
         """Refresh an entry's recency (mtime drives LRU eviction)."""
         try:
@@ -336,57 +377,71 @@ class DiskCache:
         except OSError:  # pragma: no cover - entry evicted concurrently
             pass
 
-    def _entry_paths(self) -> List[Path]:
-        return [p for p in self.root.glob("*.json") if p.is_file()]
-
-    def _unit_paths(self) -> List[Path]:
-        return [p for p in self.units_dir.glob("*.json") if p.is_file()]
+    def _scan(self, *directories: Path) -> List[Tuple[float, int, str]]:
+        """``(mtime, bytes, path)`` of every live entry in ``directories``,
+        from one ``os.scandir`` listing each."""
+        found = []
+        for directory in directories:
+            try:
+                listing = os.scandir(directory)
+            except OSError:  # pragma: no cover - root removed under us
+                continue
+            with listing:
+                for entry in listing:
+                    try:
+                        if entry.name.endswith(".json") and entry.is_file():
+                            stat = entry.stat()
+                            found.append((stat.st_mtime, stat.st_size, entry.path))
+                    except OSError:  # pragma: no cover - concurrent eviction
+                        pass
+        return found
 
     def __len__(self) -> int:
-        return len(self._entry_paths())
+        return len(self._scan(self.root))
 
     def unit_count(self) -> int:
-        return len(self._unit_paths())
+        return len(self._scan(self.units_dir))
 
     def total_bytes(self) -> int:
-        total = 0
-        for path in self._entry_paths() + self._unit_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
-        return total
+        return sum(size for _, size, _ in self._scan(self.root, self.units_dir))
 
     def _evict_to_bound(self) -> None:
-        """Remove least-recently-used entries until under ``max_bytes``."""
-        entries = []
-        for path in self._entry_paths() + self._unit_paths():
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        entries.sort()  # oldest mtime first
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                continue
-            total -= size
+        """List both tiers, remove least-recently-used entries until they
+        hold at most ``max_bytes``, and restart the running total from
+        what is left."""
+        with self._listing:
             with self._lock:
-                self.stats.evictions += 1
+                stored_before = self._stored_bytes
+            entries = self._scan(self.root, self.units_dir)
+            total = sum(size for _, size, _ in entries)
+            if total > self.max_bytes:
+                entries.sort()  # oldest mtime first
+                for _, size, path in entries:
+                    if total <= self.max_bytes:
+                        break
+                    try:
+                        os.unlink(path)
+                    except OSError:  # pragma: no cover - already gone
+                        continue
+                    total -= size
+                    with self._lock:
+                        self.stats.evictions += 1
+            with self._lock:
+                # Stores that counted themselves after the listing began
+                # stay counted; if the listing saw them too, they count
+                # twice, which errs on the safe side.
+                self._scanned_bytes = total
+                self._stored_bytes -= stored_before
 
     def clear(self) -> None:
         """Drop all live entries (quarantine is kept)."""
-        for path in self._entry_paths() + self._unit_paths():
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover
-                pass
-        with self._lock:
-            self.stats = DiskCacheStats()
+        with self._listing:
+            for _, _, path in self._scan(self.root, self.units_dir):
+                try:
+                    os.unlink(path)
+                except OSError:  # pragma: no cover
+                    pass
+            with self._lock:
+                self.stats = DiskCacheStats()
+                self._scanned_bytes = None
+                self._stored_bytes = 0

@@ -134,16 +134,19 @@ class WorkerPool:
     def _make_executor(self) -> Executor:
         if not self.config.use_threads:
             try:
+                # Each process opens its own disk cache on the shared root;
+                # the count sizes how often each lists it (diskcache.py).
+                worker_config = {**self.config.worker_config, "cache_workers": self.workers}
                 executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=worker_module.configure,
-                    initargs=(self.config.worker_config,),
+                    initargs=(worker_config,),
                 )
                 self._mode = "process"
                 return executor
             except _FALLBACK_ERRORS:
                 self.stats.fallbacks += 1
-        # Thread fallback: workers share the process; configure in-process.
+        # Thread fallback: workers share the process, and so one disk cache.
         worker_module.configure(self.config.worker_config)
         self._mode = "thread"
         return ThreadPoolExecutor(

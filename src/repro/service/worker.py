@@ -104,7 +104,9 @@ def configure(config: Dict[str, Any]) -> None:
     cache_dir = config.get("cache_dir")
     if cache_dir:
         _DISK_CACHE = DiskCache(
-            cache_dir, max_bytes=int(config.get("cache_max_bytes", 64 * 1024 * 1024))
+            cache_dir,
+            max_bytes=int(config.get("cache_max_bytes", 64 * 1024 * 1024)),
+            workers=int(config.get("cache_workers", 1)),
         )
     else:
         _DISK_CACHE = None
@@ -139,10 +141,15 @@ def options_from_dict(payload: Optional[Dict[str, Any]]) -> TranslationOptions:
 # -- response assembly -------------------------------------------------------
 
 
+#: The pipeline's stages, then the one the worker adds after a verdict:
+#: ``store``, the write-through of new artifacts to the disk tier.
+_STAGES = STAGE_NAMES + ("store",)
+
+
 def _stage_seconds(inst: PipelineInstrumentation) -> Dict[str, float]:
     return {
         name: inst.stage_seconds(name)
-        for name in STAGE_NAMES
+        for name in _STAGES
         if inst.stage_ran(name)
     }
 
@@ -513,17 +520,17 @@ def _certify_from_unit_tier(ctx, inst):
 
     if report.ok:
         # Write the rebuilt units and the assembled file through to disk.
-        for method in rebuilt:
-            _DISK_CACHE.store_unit(
-                ctx.unit_keys[method.name],
-                method.name,
-                {
-                    "procedure_text": procedure_texts[method.name],
-                    "certificate_block": blocks[method.name],
-                },
-                depends=ctx.units[method.name].callees,
-            )
-        if _DISK_CACHE is not None and boogie_text and certificate_text:
+        with inst.stage("store"):
+            for method in rebuilt:
+                _DISK_CACHE.store_unit(
+                    ctx.unit_keys[method.name],
+                    method.name,
+                    {
+                        "procedure_text": procedure_texts[method.name],
+                        "certificate_block": blocks[method.name],
+                    },
+                    depends=ctx.units[method.name].callees,
+                )
             _DISK_CACHE.store(
                 (ctx.key[0], options_digest(ctx.options)),
                 {"boogie_text": boogie_text, "certificate_text": certificate_text},
@@ -585,11 +592,12 @@ def _handle_certify(payload, ctx, inst, disk_key, in_memory) -> Dict[str, Any]:
             and ctx.boogie_text
             and certificate_text
         ):
-            _DISK_CACHE.store(
-                disk_key,
-                {"boogie_text": ctx.boogie_text, "certificate_text": certificate_text},
-            )
-            _store_units_to_disk(ctx)
+            with inst.stage("store"):
+                _DISK_CACHE.store(
+                    disk_key,
+                    {"boogie_text": ctx.boogie_text, "certificate_text": certificate_text},
+                )
+                _store_units_to_disk(ctx)
 
     response = _base_response("certify", inst, tier)
     response["check_seconds"] = report.check_seconds

@@ -218,11 +218,21 @@ def pretty_program(program: Program) -> str:
     return "\n".join(parts)
 
 
+def count_nonblank(lines: List[str]) -> int:
+    """How many of ``lines`` hold something besides whitespace.
+
+    A line is blank when it is empty or ``str.isspace`` (the characters
+    ``str.strip`` removes); both are counted without a loop per line.
+    """
+    return len(lines) - lines.count("") - sum(map(str.isspace, lines))
+
+
 def count_loc(text: str) -> int:
     """Count non-empty, non-comment-only lines (the paper's LoC metric)."""
-    count = 0
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("//"):
-            count += 1
-    return count
+    lines = text.splitlines()
+    loc = count_nonblank(lines)
+    if "//" in text:
+        loc -= len([
+            line for line in lines if "//" in line and line.lstrip().startswith("//")
+        ])
+    return loc

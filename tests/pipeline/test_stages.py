@@ -240,3 +240,43 @@ class TestLoopDesugaringRegression:
         assert not metrics.certified
         assert metrics.error == "pipeline incomplete"
         assert metrics.boogie_loc > 0
+
+
+class TestDesugarKeywordGate:
+    """The desugar stage walks for loops, allocations and old-expressions
+    only when the source holds ``while``, ``new`` or ``old``: the parser
+    builds those nodes from those keywords alone.  On every input the
+    gated stage gives the program the ungated walks would."""
+
+    @staticmethod
+    def _ungated(program):
+        from repro.viper import (
+            desugar_loops, desugar_new, desugar_old, hoist_call_args,
+            program_has_complex_call_args, program_has_loops,
+            program_has_new, program_has_old,
+        )
+
+        for has, desugar in (
+            (program_has_loops, desugar_loops),
+            (program_has_new, desugar_new),
+            (program_has_old, desugar_old),
+            (program_has_complex_call_args, hoist_call_args),
+        ):
+            if has(program):
+                program = desugar(program)
+        return program
+
+    def test_gated_desugaring_matches_the_walks(self):
+        from repro.fuzz.generate import generate_corpus, SEED_CORPUS
+        from repro.harness import full_corpus
+
+        sources = [item.source for items in full_corpus().values() for item in items]
+        sources += [generated.source for generated in generate_corpus(7, 60)]
+        sources += list(SEED_CORPUS) + [LOOPY]
+        desugared = 0
+        for source in sources:
+            program = parse_program(source)
+            expected = self._ungated(program)
+            assert run_pipeline(source, upto="desugar").program == expected
+            desugared += expected != program
+        assert desugared >= 10  # the walks did find loops, new and old

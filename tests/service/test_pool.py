@@ -234,3 +234,44 @@ class TestRecycling:
         finally:
             pool.shutdown()
         assert pool.stats.recycles == 0
+
+
+class TestDiskCacheShare:
+    """Each worker process opens its own disk cache on the shared root and
+    lists it after storing its share of the slack (service/diskcache.py);
+    threads share one instance, which sees every store."""
+
+    def test_process_workers_are_told_how_many_share_the_root(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import pool as pool_module
+
+        started = {}
+
+        class RecordingExecutor:
+            def __init__(self, **kwargs):
+                started.update(kwargs)
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingExecutor)
+        pool = WorkerPool(PoolConfig(jobs=3, worker_config={"cache_dir": str(tmp_path)}))
+        pool.start()
+        pool.shutdown()
+        try:
+            started["initializer"](*started["initargs"])
+            assert worker_module._DISK_CACHE.workers == 3
+        finally:
+            worker_module.configure({})
+
+    def test_thread_workers_share_one_instance(self, tmp_path):
+        pool = WorkerPool(
+            PoolConfig(jobs=3, use_threads=True, worker_config={"cache_dir": str(tmp_path)})
+        )
+        pool.start()
+        pool.shutdown()
+        try:
+            assert worker_module._DISK_CACHE.workers == 1
+        finally:
+            worker_module.configure({})

@@ -40,6 +40,16 @@ method put(self: Ref)
 """
 
 
+TWO_METHODS = SOURCE + """
+method bump(self: Ref)
+  requires acc(self.val)
+  ensures acc(self.val)
+{
+  self.val := 1
+}
+"""
+
+
 @pytest.fixture
 def disk_worker(tmp_path):
     """A worker configured with a disk tier; state is reset afterwards."""
@@ -71,6 +81,25 @@ class TestCacheTiers:
         assert "translate" not in warm["stage_seconds"]
         promoted = certify()
         assert promoted["ok"] and promoted["cache"] == "memory"
+
+    def test_disk_write_through_is_timed_as_the_store_stage(self, disk_worker):
+        assert "store" in certify(TWO_METHODS)["stage_seconds"]
+        hit = certify(TWO_METHODS)
+        assert hit["cache"] == "memory"
+        assert "store" not in hit["stage_seconds"]
+        # An edit of one method: the unit tier serves the other one, and
+        # the rebuilt unit and the new file entry are written through.
+        edited = certify(
+            TWO_METHODS.replace("self.val := 1", "self.val := 0 + 1"),
+            traceparent="00-" + "a" * 32 + "-" + "b" * 16 + "-01",
+        )
+        assert edited["ok"]
+        assert edited["unit_cache"]["reused_methods"] == ["get"]
+        assert edited["unit_cache"]["rebuilt_methods"] == ["bump"]
+        assert edited["stage_seconds"]["store"] > 0
+        assert edited["counters"]["stage.store.runs"] == 1
+        (span,) = [s for s in edited["trace"] if s["name"] == "stage.store"]
+        assert span["duration"] > 0
 
     def test_translate_serves_boogie_from_disk(self, disk_worker):
         assert certify()["ok"]

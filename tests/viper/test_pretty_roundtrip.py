@@ -122,3 +122,26 @@ method m(x: Ref, n: Int) returns (y: Int)
 def test_count_loc_ignores_blanks_and_comments():
     text = "a\n\n// comment\n  b\n   \n"
     assert count_loc(text) == 2
+
+
+def _per_line_count_loc(text):
+    """The LoC definition, one line at a time."""
+    count = 0
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped and not stripped.startswith("//"):
+            count += 1
+    return count
+
+
+def test_count_loc_matches_the_per_line_definition():
+    import random
+
+    # Every line break str.splitlines knows, and whitespace str.strip
+    # removes, next to comment markers and code.
+    pieces = [" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f",
+              "\x85", "\xa0", "\u2028", "/", "//", "a", "x // y"]
+    rng = random.Random(0)
+    for _ in range(5000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 24)))
+        assert count_loc(text) == _per_line_count_loc(text), repr(text)
