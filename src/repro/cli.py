@@ -57,6 +57,7 @@ import os
 import signal
 import sys
 import threading
+from dataclasses import replace
 from typing import Optional
 
 from .boogie.parser import parse_boogie_program
@@ -67,11 +68,14 @@ from .frontend import procedure_name, TranslationOptions
 from .frontend.background import build_background, constant_valuation, standard_interpretation
 from .frontend.translator import TranslationResult
 from .pipeline import (
+    ParseError,
     PipelineContext,
     PipelineError,
     PipelineInstrumentation,
     run_pipeline,
+    wrap_exception,
 )
+from .pipeline.diagnostics import wrappable_exceptions
 
 
 def _read_source(path: str) -> str:
@@ -246,14 +250,29 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
+def _parse_artifact(path: str, parse):
+    """Parse one artifact file of `check`.  Text the parser refuses is a
+    one-line ``reparse`` diagnostic naming the file and the position."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        return parse(text)
+    except wrappable_exceptions() as error:
+        diagnostic = wrap_exception("reparse", error).diagnostic
+        # A located message already starts with "line:column: ".
+        separator = "" if diagnostic.location else " "
+        raise ParseError(replace(
+            diagnostic, message=f"{path}:{separator}{diagnostic.message}",
+            location=None, hint="",
+        )) from error
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     """Independent check: Viper source + Boogie file + certificate file."""
     ctx = _run_file_pipeline(args.file, "typecheck")
     program, type_info = ctx.program, ctx.type_info
-    with open(args.boogie, "r", encoding="utf-8") as handle:
-        boogie_program = parse_boogie_program(handle.read())
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        certificate = parse_program_certificate(handle.read())
+    boogie_program = _parse_artifact(args.boogie, parse_boogie_program)
+    certificate = _parse_artifact(args.certificate, parse_program_certificate)
     background = build_background(type_info.field_types)
     result = TranslationResult(
         viper_program=program,
@@ -263,7 +282,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         methods={},
         options=TranslationOptions(),
     )
-    report = check_program_certificate(result, certificate)
+    try:
+        report = check_program_certificate(result, certificate)
+    except RecursionError as error:
+        # Parsed, but nested deeper than the recursive kernel walks.
+        raise wrap_exception("check", error) from error
     if report.ok:
         print(f"ACCEPTED in {report.check_seconds:.3f}s")
         print(report.statement())

@@ -221,6 +221,7 @@ def wrappable_exceptions() -> Tuple[Type[BaseException], ...]:
     walkers support, which is a property of the input, not a bug.
     """
     from ..analysis.report import AnalysisError
+    from ..boogie import BoogieSyntaxError
     from ..certification import CertificateParseError, CheckError, ProofGenError
     from ..certification.exprcorr import CorrespondenceError
     from ..frontend import TranslationError
@@ -228,6 +229,7 @@ def wrappable_exceptions() -> Tuple[Type[BaseException], ...]:
 
     return (
         ViperSyntaxError,
+        BoogieSyntaxError,
         ViperTypeError,
         OldExprError,
         TranslationError,

@@ -9,7 +9,8 @@ executor's worker discipline and fallback policy:
 * the job target is the module-level, picklable
   :func:`repro.service.worker.handle_job`, configured per process through
   the pool initializer (exactly how ``executor`` requires module-level
-  workers);
+  workers), which also lowers each worker process's priority by 5 so the
+  event loop keeps the CPU it needs (``worker.configure_process``);
 * worker counts resolve through
   :func:`repro.pipeline.executor.resolve_jobs` (``0`` = one per CPU,
   negative rejected);
@@ -139,7 +140,7 @@ class WorkerPool:
                 worker_config = {**self.config.worker_config, "cache_workers": self.workers}
                 executor = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    initializer=worker_module.configure,
+                    initializer=worker_module.configure_process,
                     initargs=(worker_config,),
                 )
                 self._mode = "process"

@@ -298,6 +298,13 @@ class CertificationService:
                         keep_alive=False,
                     )
                     break
+                except asyncio.CancelledError:
+                    # The server stopped while this keep-alive connection
+                    # waited for its next request: a clean close.  Ending
+                    # the handler, not re-raising, keeps asyncio's stream
+                    # callback (Python 3.11) from logging the cancelled
+                    # task as an error.
+                    break
                 if request is None:
                     break
                 response = await self._dispatch_watching_disconnect(request, conn)

@@ -52,6 +52,7 @@ touches nothing the kernel reads (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from typing import Any, Dict, Optional
@@ -116,6 +117,21 @@ def configure(config: Dict[str, Any]) -> None:
         max_batch=int(config.get("max_batch", RequestLimits.max_batch)),
         max_oracle_states=int(config.get("max_oracle_states", RequestLimits.max_oracle_states)),
     )
+
+
+def configure_process(config: Dict[str, Any]) -> None:
+    """The pool initializer of a worker *process*: lower its priority by a
+    fixed 5, then :func:`configure`.
+
+    A CPU-bound worker then yields to the server's event loop on a busy
+    host, so accepts, admission, ``/healthz``, 429s and drain answers are
+    not queued behind certifications.  Thread workers share the server's
+    process and call :func:`configure` alone: the server never renices
+    itself.
+    """
+    if hasattr(os, "nice"):
+        os.nice(5)
+    configure(config)
 
 
 def _memory_cache() -> ArtifactCache:
@@ -395,8 +411,9 @@ def _check_served(ctx, inst, boogie_text, certificate_text, background,
     ``quarantine(reason)`` the served entries.
 
     Returns ``(report, translation)``, or ``None`` when a parser refuses
-    a text — corrupt or poisoned past the digest check — so the caller
-    falls through to the next tier instead of failing the request.
+    a text or the kernel cannot walk it — corrupt or poisoned past the
+    digest check — so the caller falls through to the next tier instead
+    of failing the request.
     """
     try:
         with inst.stage("reparse"):
@@ -413,8 +430,14 @@ def _check_served(ctx, inst, boogie_text, certificate_text, background,
         methods=methods,
         options=ctx.options,
     )
-    with inst.stage("check"):
-        report = check_program_certificate(translation, certificate)
+    try:
+        with inst.stage("check"):
+            report = check_program_certificate(translation, certificate)
+    except RecursionError:
+        # Parsed, but nested deeper than the recursive kernel walks: not
+        # text the translator emits, so recompute rather than fail.
+        quarantine("nested too deeply for the kernel")
+        return None
     ctx.boogie_text = boogie_text
     if report.ok:
         # Promote into the memory tier so the next request in this worker

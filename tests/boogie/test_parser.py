@@ -1,5 +1,6 @@
 """Tests for the Boogie parser (round-trips with the pretty-printer)."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -104,6 +105,16 @@ class TestExpressions:
     def test_error_position(self):
         with pytest.raises(BoogieSyntaxError):
             parse_boogie_expr("1 +")
+
+    def test_unclosed_comments_are_found_in_linear_time(self):
+        """A lazy comment scan from each unclosed ``/*`` to the end of the
+        text would be quadratic (minutes for 50,000 of them); the lexer
+        takes the first one's rest as one token, in one pass."""
+        text = "axiom true;\n" + "/* " * 50_000
+        start = time.perf_counter()
+        with pytest.raises(BoogieSyntaxError, match="^2:1: unterminated comment$"):
+            parse_boogie_program(text)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPrograms:

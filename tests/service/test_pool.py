@@ -9,6 +9,7 @@ the target through the module attribute at submit time.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 
 import pytest
@@ -236,6 +237,46 @@ class TestRecycling:
         assert pool.stats.recycles == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "getpriority"), reason="no process priorities")
+class TestWorkerPriority:
+    """Worker processes run 5 below the server, so the event loop keeps
+    the CPU on a busy host; the server itself is never reniced."""
+
+    @staticmethod
+    def _niceness(pid: int = 0) -> int:
+        return os.getpriority(os.PRIO_PROCESS, pid)
+
+    def test_process_workers_run_five_below_the_server_also_after_a_recycle(self):
+        server = self._niceness()
+        pool = WorkerPool(PoolConfig(jobs=1, recycle_after=1))
+        try:
+            generations = []
+            for _ in range(2):
+                assert pool.submit_sync({"action": "certify", "source": SOURCE})["ok"]
+                if pool.mode != "process":  # pragma: no cover - exotic CI boxes
+                    pytest.skip("no process pool available on this platform")
+                pids = pool.worker_pids()
+                assert pids
+                assert [self._niceness(pid) for pid in pids] == [min(server + 5, 19)] * len(pids)
+                generations.append(set(pids))
+            assert pool.stats.recycles == 1
+            assert not generations[0] & generations[1]
+            assert self._niceness() == server
+        finally:
+            pool.shutdown()
+
+    def test_thread_mode_leaves_the_server_niceness_alone(self):
+        server = self._niceness()
+        pool = thread_pool(recycle_after=1)
+        try:
+            for _ in range(2):
+                assert pool.submit_sync({"action": "certify", "source": SOURCE})["ok"]
+            assert pool.mode == "thread" and pool.stats.recycles == 1
+        finally:
+            pool.shutdown()
+        assert self._niceness() == server
+
+
 class TestDiskCacheShare:
     """Each worker process opens its own disk cache on the shared root and
     lists it after storing its share of the slack (service/diskcache.py);
@@ -256,11 +297,16 @@ class TestDiskCacheShare:
                 pass
 
         monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingExecutor)
+        # The initializer renices the process it runs in: record, not renice,
+        # this test's own process.
+        increments = []
+        monkeypatch.setattr(worker_module.os, "nice", increments.append)
         pool = WorkerPool(PoolConfig(jobs=3, worker_config={"cache_dir": str(tmp_path)}))
         pool.start()
         pool.shutdown()
         try:
             started["initializer"](*started["initargs"])
+            assert increments == [5]
             assert worker_module._DISK_CACHE.workers == 3
         finally:
             worker_module.configure({})

@@ -17,6 +17,7 @@ HTTP API exactly as ``repro loadgen`` does.  The headline scenarios:
 from __future__ import annotations
 
 import importlib.util
+import logging
 import threading
 from pathlib import Path
 
@@ -251,6 +252,23 @@ class TestDrainAnnouncement:
                 assert throttled.status == 503
                 assert throttled.retry_after == 1.0
                 assert "draining" in str(throttled)
+
+
+class TestQuietShutdown:
+    def test_stop_with_idle_keep_alive_clients_logs_no_error(self, tmp_path, caplog):
+        """Stopping cancels the connections that wait for their next
+        request; that is a clean close, not an error in ``asyncio``'s
+        connection callback."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            background = BackgroundServer(_config(tmp_path))
+            with background:
+                clients = [ServiceClient(port=background.port) for _ in range(2)]
+                for c in clients:
+                    assert c.certify(SMALL)["ok"]
+            for c in clients:
+                c.close()
+        errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert not errors, errors[0].getMessage()
 
 
 class TestWorkerCrashAtNodeLevel:

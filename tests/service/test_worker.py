@@ -184,6 +184,34 @@ class TestKernelIsNeverCached:
         (reason,) = disk.quarantine_dir.glob("*.reason")
         assert "unparseable artifact" in reason.read_text()
 
+    @pytest.mark.parametrize("axiom, reason", [
+        # An isdigit character int() refuses.
+        ("axiom ² == 2;", "unparseable artifact"),
+        # Past the recursion limit of the parser.
+        ("axiom " + "(" * 2000 + "true" + ")" * 2000 + ";", "unparseable artifact"),
+        # Parsed at one frame a level, past the kernel's typechecker.
+        ("axiom " + "true ==> " * 600 + "true;", "nested too deeply for the kernel"),
+    ], ids=["superscript-digit", "nested-parens-2000", "implications-600"])
+    def test_hostile_boogie_text_is_quarantined_and_falls_through(
+        self, disk_worker, axiom, reason
+    ):
+        """A stored text the parser refuses, or one nested deeper than the
+        recursive kernel walks, is quarantined and recomputed: never a
+        500."""
+        mine = certify(include_boogie=True, include_certificate=True)
+        assert mine["ok"]
+        self._poison(disk_worker, {
+            "boogie_text": mine["boogie"] + "\n" + axiom + "\n",
+            "certificate_text": mine["certificate"],
+        })
+        worker.configure({"cache_dir": str(disk_worker)})
+        response = certify()
+        assert response["status"] == 200
+        assert response["ok"] is True
+        disk = DiskCache(disk_worker)
+        (written,) = disk.quarantine_dir.glob("*.reason")
+        assert reason in written.read_text()
+
     def test_poisoned_unit_envelope_is_rejected_quarantined_recomputed(
         self, disk_worker
     ):

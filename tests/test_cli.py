@@ -90,6 +90,68 @@ class TestIndependentCheck:
         assert main(["check", str(viper_file), str(bpl), str(cert)]) == 1
         assert "REJECTED" in capsys.readouterr().err
 
+    @staticmethod
+    def _certified(viper_file, tmp_path, capsys):
+        bpl = tmp_path / "demo.bpl"
+        cert = tmp_path / "demo.cert"
+        main(["certify", str(viper_file), "-o", str(cert), "--boogie-output", str(bpl)])
+        capsys.readouterr()
+        return bpl, cert
+
+    @staticmethod
+    def _one_line_diagnostic(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+        return lines[0]
+
+    def test_malformed_boogie_is_a_located_diagnostic(self, viper_file, tmp_path, capsys):
+        bpl, cert = self._certified(viper_file, tmp_path, capsys)
+        text = bpl.read_text()
+        broken = text.replace("readHeap<int>(H, v_x, field_f) + 1", "readHeap<int>(H, v_x, field_f; + 1")
+        assert broken != text
+        bpl.write_text(broken)
+        assert main(["check", str(viper_file), str(bpl), str(cert)]) == 2
+        line = self._one_line_diagnostic(capsys)
+        row = broken[: broken.index("field_f;")].count("\n") + 1
+        assert line.startswith(f"error[reparse]: {bpl}:{row}:")
+        assert line.endswith("expected ')', found ';'")
+
+    def test_deeply_nested_axiom_is_a_located_diagnostic(self, viper_file, tmp_path, capsys):
+        bpl, cert = self._certified(viper_file, tmp_path, capsys)
+        text = bpl.read_text()
+        bpl.write_text(text + "axiom " + "(" * 2000 + "true" + ")" * 2000 + ";\n")
+        assert main(["check", str(viper_file), str(bpl), str(cert)]) == 2
+        line = self._one_line_diagnostic(capsys)
+        row = text.count("\n") + 1
+        assert line.startswith(f"error[reparse]: {bpl}:{row}:")
+        assert line.endswith("expression nested too deeply")
+        # 150 levels no longer exhaust the parser: the kernel judges the axiom.
+        bpl.write_text(text + "axiom " + "(" * 150 + "true" + ")" * 150 + ";\n")
+        assert main(["check", str(viper_file), str(bpl), str(cert)]) == 0
+        assert "ACCEPTED" in capsys.readouterr().out
+
+    def test_axiom_too_deep_for_the_kernel_is_a_depth_diagnostic(
+        self, viper_file, tmp_path, capsys
+    ):
+        """600 chained implications parse at one frame a level, but the
+        recursive kernel cannot walk them: LIM001, not a traceback."""
+        bpl, cert = self._certified(viper_file, tmp_path, capsys)
+        bpl.write_text(bpl.read_text() + "axiom " + "true ==> " * 600 + "true;\n")
+        assert main(["check", str(viper_file), str(bpl), str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[check] LIM001: ")
+        assert "Traceback" not in captured.err
+
+    def test_malformed_certificate_is_a_diagnostic_naming_the_file(
+        self, viper_file, tmp_path, capsys
+    ):
+        bpl, cert = self._certified(viper_file, tmp_path, capsys)
+        cert.write_text(cert.read_text().replace("\nmethod ", "\nmethd ", 1))
+        assert main(["check", str(viper_file), str(bpl), str(cert)]) == 2
+        line = self._one_line_diagnostic(capsys)
+        assert line == f"error[reparse]: {cert}: expected 'method' at line 2"
+
 
 class TestVerify:
     def test_valid_program(self, viper_file, capsys):
