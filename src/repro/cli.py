@@ -117,8 +117,7 @@ def _print_timings(ctx: PipelineContext) -> None:
 def cmd_translate(args: argparse.Namespace) -> int:
     """`translate`: emit the Boogie program for a Viper file."""
     ctx = _run_file_pipeline(args.file, "translate", _options_from(args),
-                             analyze=not args.no_analyze,
-                             unit_jobs=args.unit_jobs)
+                             analyze=not args.no_analyze)
     text = ctx.boogie_text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -146,17 +145,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.trace:
         from .trace import Span, use_context
 
-        # The whole run shares one trace; the ambient context also rides
-        # into --unit-jobs worker processes via the executor.  The trace
-        # is written even when a stage raises — an errored run is exactly
-        # the one worth inspecting — with the stages completed so far.
+        # The whole run shares one trace.  The trace is written even when
+        # a stage raises — an errored run is exactly the one worth
+        # inspecting — with the stages completed so far.
         inst = PipelineInstrumentation()
         root = Span.start("certify", attributes={"file": args.file})
         try:
             with use_context(root.context()):
                 ctx = _run_file_pipeline(args.file, "check", _options_from(args),
                                          analyze=not args.no_analyze,
-                                         unit_jobs=args.unit_jobs,
                                          instrumentation=inst)
         except Exception as error:
             root.end()
@@ -165,8 +162,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise
     else:
         ctx = _run_file_pipeline(args.file, "check", _options_from(args),
-                                 analyze=not args.no_analyze,
-                                 unit_jobs=args.unit_jobs)
+                                 analyze=not args.no_analyze)
     report = ctx.report
     if root is not None:
         root.end()
@@ -393,7 +389,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
     """
     from .perf import (
         HistoryError,
-        attribution_from_diff,
         compare_reports,
         environment_fingerprint,
         file_records,
@@ -437,15 +432,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
         base_fingerprint=base_fp,
         current_fingerprint=current_fp,
     )
-    base_rows = file_records(base_reports, suite=args.suite)
-    current_rows = file_records(current_reports, suite=args.suite)
-    for file_diff in diff.regressions:
-        key = (file_diff.suite, file_diff.name)
-        diff.attributions.append(
-            attribution_from_diff(
-                file_diff, base_rows.get(key, []), current_rows.get(key, [])
-            )
-        )
     if args.json is not None:
         payload = json.dumps(diff.to_dict(), indent=2)
         if args.json == "-":
@@ -456,14 +442,6 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
             print(f"wrote {args.json}")
         return diff.exit_code
     print(diff.render())
-    for attribution in diff.attributions:
-        print()
-        print(
-            f"attribution {attribution['suite']}/{attribution['name']} "
-            f"(guilty: {', '.join(attribution['guilty_stages'])}):"
-        )
-        for line in attribution["flame_diff"]:
-            print(f"  {line}")
     return diff.exit_code
 
 
@@ -516,36 +494,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 handle.write(payload + "\n")
             print(f"wrote {args.json}")
     return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """`perf profile`: one pipeline run under cProfile, hotspots first."""
-    from .perf import profile_source, render_profile
-
-    if args.perf_command == "profile":
-        try:
-            source = _read_source(args.file)
-        except OSError as error:
-            print(f"perf profile: {error}", file=sys.stderr)
-            return 2
-        profile = profile_source(
-            source,
-            upto=args.upto,
-            top=args.top,
-            analyze=not args.no_analyze,
-        )
-        if args.json is not None:
-            payload = json.dumps(profile, indent=2)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"wrote {args.json}")
-        else:
-            print(render_profile(profile))
-        return 0
-    raise AssertionError(f"unknown perf command {args.perf_command!r}")
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -744,10 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print per-stage instrumentation records")
         command.add_argument("--no-analyze", action="store_true",
                              help="skip the advisory static-analysis stage")
-        command.add_argument("--unit-jobs", type=int, default=None, metavar="N",
-                             help="translate method units over N worker "
-                                  "processes (0 = one per CPU; default: "
-                                  "serial)")
     lint = sub.add_parser("lint", help="static analysis (advisory lints)")
     lint.add_argument("file", nargs="?",
                       help="the Viper source to analyze")
@@ -925,27 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the summary (stats table + flame tree) as JSON to "
              "stdout, or write it to PATH",
     )
-    perf = sub.add_parser(
-        "perf",
-        help="performance observatory: deterministic pipeline profiling",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    perf_profile = perf_sub.add_parser(
-        "profile",
-        help="run one file through the pipeline under cProfile and "
-             "report per-stage seconds plus the top-N hotspots",
-    )
-    perf_profile.add_argument("file", help="the Viper source to profile")
-    perf_profile.add_argument("--upto", default="check", metavar="STAGE",
-                              help="run the pipeline through this stage "
-                                   "(default: check)")
-    perf_profile.add_argument("--top", type=int, default=20, metavar="N",
-                              help="hotspots to report (default: 20)")
-    perf_profile.add_argument("--no-analyze", action="store_true",
-                              help="skip the advisory static-analysis stage")
-    perf_profile.add_argument("--json", nargs="?", const="-", metavar="PATH",
-                              help="emit the profile as JSON to stdout, or "
-                                   "write it to PATH")
     tcb = sub.add_parser(
         "tcb",
         help="machine-check the trust boundary over repro's own source",
@@ -1035,7 +958,6 @@ def main(argv: Optional[list] = None) -> int:
         "serve": cmd_serve,
         "loadgen": cmd_loadgen,
         "trace": cmd_trace,
-        "perf": cmd_perf,
         "tcb": cmd_tcb,
     }
     previous_sigterm = None

@@ -15,29 +15,18 @@ This package gives the reproduction a memory of its own performance:
   plus an environment fingerprint and a content digest
   (``repro bench record``);
 * :mod:`repro.perf.compare` — the statistical comparator behind
-  ``repro bench diff``: per-file, per-stage bootstrap confidence
-  intervals on the median ratio, with a noise floor, calibrated by the
-  two sides' host references so a slower machine does not page;
-* :mod:`repro.perf.attribute` — when a file regresses, names the guilty
-  stage(s), renders a side-by-side flame-tree diff (reusing the
-  :mod:`repro.trace.summarize` tree), and wires deterministic
-  ``cProfile`` capture around one pipeline run (``repro perf profile``).
+  ``repro bench diff``: one comparison per stage, its seconds summed
+  over the files every sample measured, with a bootstrap confidence
+  interval on the median ratio and a noise floor, calibrated by the two
+  sides' host references so a slower machine does not page.
 
-A running server's per-stage view is the ``repro_stage_seconds{stage}``
+Hotspots below a stage come from ``python -m cProfile -s cumulative -m
+repro.cli certify FILE --timings``.  A running server's per-stage view is the ``repro_stage_seconds{stage}``
 histograms on ``/metrics`` (:mod:`repro.service.metrics`).
 """
 
-from .attribute import (  # noqa: F401
-    attribution_from_diff,
-    flame_diff_lines,
-    profile_source,
-    render_profile,
-    representative_record,
-    spans_from_file_record,
-)
 from .compare import (  # noqa: F401
     DiffReport,
-    FileDiff,
     StageDelta,
     STAGE_FIELDS,
     bootstrap_ratio_ci,
@@ -63,7 +52,6 @@ __all__ = [
     "DEFAULT_HISTORY_DIR",
     "DEFAULT_HISTORY_FILE",
     "DiffReport",
-    "FileDiff",
     "HOST_REFERENCE_KEY",
     "HistoryError",
     "HistoryRecord",
@@ -71,18 +59,12 @@ __all__ = [
     "STAGE_FIELDS",
     "StageDelta",
     "append_record",
-    "attribution_from_diff",
     "bootstrap_ratio_ci",
     "compare_reports",
     "environment_fingerprint",
     "file_records",
-    "flame_diff_lines",
     "latest_record",
     "make_record",
-    "profile_source",
     "read_history",
-    "render_profile",
     "report_digest",
-    "representative_record",
-    "spans_from_file_record",
 ]

@@ -7,16 +7,21 @@ Timings jitter.  A single slow sample on a cold CI runner must not page,
 and a real 2× stage slowdown must.  The comparator therefore works on
 *distributions*, not points:
 
-* every history record of the baseline (and every ``--samples`` re-run
-  of the current tree) contributes one sample per ``(file, stage)``;
+* each stage is compared once, over the whole file subset: every history
+  record of the baseline (and every ``--samples`` re-run of the current
+  tree) contributes one sample per stage, that stage's seconds summed
+  over the files *every* sample of both sides measured.  A file missing
+  from any sample is listed as not compared, never summed on one side
+  only.  A sum clears the noise quantum where most single files do not,
+  so a stage slowdown spread over the subset is seen as that stage;
 * the test statistic is the **ratio of medians** current/baseline, with
   a seeded **bootstrap confidence interval** (resample both sides,
   recompute the ratio, take the central quantiles) — deterministic for
   a fixed input, so repeated CI invocations agree;
-* a ``(file, stage)`` pair regresses only when the *lower* CI bound
-  clears ``1 + NOISE_FLOOR`` — the whole interval must sit above the
-  floor, so one jittery sample cannot page;
-* pairs where both medians sit under ``MIN_SECONDS`` are skipped:
+* a stage regresses only when the *lower* CI bound clears
+  ``1 + NOISE_FLOOR`` — the whole interval must sit above the floor, so
+  one jittery sample cannot page;
+* stages where both medians sit under ``MIN_SECONDS`` are skipped:
   sub-noise-quantum timings carry no signal;
 * every ratio is **calibrated** by the host, not by the measurement:
   each report's ``meta`` carries the median time of a fixed reference
@@ -32,11 +37,10 @@ The exit-code contract mirrors ``repro lint`` / ``repro tcb check``:
 
 from __future__ import annotations
 
-import hashlib
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .history import HOST_REFERENCE_KEY
 
@@ -59,13 +63,13 @@ FileKey = Tuple[str, str]
 #: A stage pages only when its whole CI sits above ``1 + NOISE_FLOOR``
 #: (a calibrated median ratio provably above 1.5×).
 NOISE_FLOOR = 0.5
-#: Pairs where both medians are under this are skipped as noise.
+#: Stages where both medians are under this are skipped as noise.
 MIN_SECONDS = 0.005
-#: Bootstrap resamples per (file, stage) pair.
+#: Bootstrap resamples per stage.
 BOOTSTRAP = 400
 #: Central CI mass (0.95 → the 2.5%/97.5% quantiles).
 CONFIDENCE = 0.95
-#: Root seed of the deterministic bootstrap.
+#: Seed of the deterministic bootstrap.
 SEED = 0
 
 
@@ -88,20 +92,22 @@ def file_records(
     return out
 
 
-def _stage_samples(rows: Sequence[Mapping[str, object]]) -> Dict[str, List[float]]:
-    samples: Dict[str, List[float]] = {stage: [] for stage, _ in STAGE_FIELDS}
-    for row in rows:
+def _stage_sums(
+    rows_per_report: Sequence[Mapping[FileKey, List[Dict[str, object]]]],
+    keys: Sequence[FileKey],
+) -> Dict[str, List[float]]:
+    """Per stage, one sample per report: its seconds summed over ``keys``.
+
+    A report whose row for one of ``keys`` has no number for a stage
+    contributes no sample of that stage.
+    """
+    sums: Dict[str, List[float]] = {stage: [] for stage, _ in STAGE_FIELDS}
+    for rows in rows_per_report:
         for stage, fld in STAGE_FIELDS:
-            value = row.get(fld)
-            if isinstance(value, (int, float)):
-                samples[stage].append(float(value))
-    return samples
-
-
-def _pair_seed(root: int, suite: str, name: str, stage: str) -> int:
-    """A stable per-pair bootstrap seed (never the process hash seed)."""
-    digest = hashlib.sha256(f"{root}|{suite}|{name}|{stage}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+            values = [rows[key][0].get(fld) for key in keys]
+            if all(isinstance(v, (int, float)) for v in values):
+                sums[stage].append(float(sum(values)))
+    return sums
 
 
 def bootstrap_ratio_ci(
@@ -142,7 +148,7 @@ def bootstrap_ratio_ci(
 
 @dataclass
 class StageDelta:
-    """One (file, stage) comparison."""
+    """One stage's comparison, its seconds summed over the compared files."""
 
     stage: str
     base_median: float
@@ -178,12 +184,19 @@ class StageDelta:
 
 
 @dataclass
-class FileDiff:
-    """All stage comparisons for one corpus file."""
+class DiffReport:
+    """The complete result of one ``repro bench diff``."""
 
-    suite: str
-    name: str
+    #: One comparison per stage, over the sums of ``files``.
     stages: Dict[str, StageDelta]
+    #: ``suite/name`` of the files every sample of both sides measured.
+    files: List[str]
+    calibration: Dict[str, object]
+    #: Files missing from some current (resp. baseline) sample.
+    missing_in_current: List[str] = field(default_factory=list)
+    missing_in_base: List[str] = field(default_factory=list)
+    base_info: Dict[str, object] = field(default_factory=dict)
+    current_info: Dict[str, object] = field(default_factory=dict)
 
     @property
     def regressed(self) -> bool:
@@ -203,71 +216,37 @@ class FileDiff:
             guilty = [d for d in self.stages.values() if d.regressed]
         return [d.stage for d in sorted(guilty, key=lambda d: -d.delta_seconds)]
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "regressed": self.regressed,
-            "guilty_stages": self.guilty_stages,
-            "stages": {stage: d.to_dict() for stage, d in self.stages.items()},
-        }
-
-
-@dataclass
-class DiffReport:
-    """The complete result of one ``repro bench diff``."""
-
-    files: List[FileDiff]
-    calibration: Dict[str, object]
-    missing_in_current: List[str] = field(default_factory=list)
-    missing_in_base: List[str] = field(default_factory=list)
-    base_info: Dict[str, object] = field(default_factory=dict)
-    current_info: Dict[str, object] = field(default_factory=dict)
-    #: Attribution payloads attached by the CLI (one per regressed file).
-    attributions: List[Dict[str, object]] = field(default_factory=list)
-
     @property
-    def regressions(self) -> List[FileDiff]:
-        return [f for f in self.files if f.regressed]
-
-    @property
-    def compared_pairs(self) -> int:
-        return sum(
-            1 for f in self.files for d in f.stages.values() if not d.skipped
-        )
+    def compared_stages(self) -> int:
+        return sum(1 for d in self.stages.values() if not d.skipped)
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and self.compared_pairs > 0
+        return not self.regressed and self.compared_stages > 0
 
     @property
     def exit_code(self) -> int:
         """0 = clean, 1 = regression(s), 2 = nothing was comparable."""
-        if self.compared_pairs == 0:
+        if self.compared_stages == 0:
             return 2
-        return 1 if self.regressions else 0
+        return 1 if self.regressed else 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "schema": 1,
+            "schema": 2,
             "ok": self.ok,
             "exit_code": self.exit_code,
             "calibration": dict(self.calibration),
             "base": dict(self.base_info),
             "current": dict(self.current_info),
-            "compared_pairs": self.compared_pairs,
-            "files": [f.to_dict() for f in self.files],
-            "regressions": [
-                {
-                    "suite": f.suite,
-                    "name": f.name,
-                    "guilty_stages": f.guilty_stages,
-                }
-                for f in self.regressions
-            ],
+            "files": list(self.files),
+            "compared_stages": self.compared_stages,
+            "stages": {stage: d.to_dict() for stage, d in self.stages.items()},
+            "regressions": (
+                [{"guilty_stages": self.guilty_stages}] if self.regressed else []
+            ),
             "missing_in_current": list(self.missing_in_current),
             "missing_in_base": list(self.missing_in_base),
-            "attribution": list(self.attributions),
         }
 
     def render(self) -> str:
@@ -283,42 +262,40 @@ class DiffReport:
             )
         else:
             lines.append("calibration: none (a side has no host reference)")
+        lines.append(
+            f"each stage summed over the {len(self.files)} file(s) every "
+            "sample measured"
+        )
         header = (
-            f"{'file':<28} {'stage':<10} {'base ms':>10} {'curr ms':>10} "
+            f"{'stage':<10} {'base ms':>10} {'curr ms':>10} "
             f"{'ratio':>7} {'ci':>15}  verdict"
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for file_diff in self.files:
-            for delta in file_diff.stages.values():
-                if delta.skipped:
-                    continue
+        for delta in self.stages.values():
+            if delta.skipped:
+                verdict = f"skipped (under {MIN_SECONDS * 1000:g} ms)"
+            else:
                 verdict = "REGRESSED" if delta.regressed else "ok"
-                ci = f"[{delta.ci_low:.2f}, {delta.ci_high:.2f}]"
-                lines.append(
-                    f"{file_diff.suite + '/' + file_diff.name:<28} "
-                    f"{delta.stage:<10} {delta.base_median * 1000:>10.3f} "
-                    f"{delta.current_median * 1000:>10.3f} "
-                    f"{delta.calibrated_ratio:>7.2f} {ci:>15}  {verdict}"
-                )
+            ci = f"[{delta.ci_low:.2f}, {delta.ci_high:.2f}]"
+            lines.append(
+                f"{delta.stage:<10} {delta.base_median * 1000:>10.3f} "
+                f"{delta.current_median * 1000:>10.3f} "
+                f"{delta.calibrated_ratio:>7.2f} {ci:>15}  {verdict}"
+            )
         for name in self.missing_in_current:
-            lines.append(f"{name}: in baseline only (not compared)")
+            lines.append(f"{name}: missing from a current sample (not compared)")
         for name in self.missing_in_base:
-            lines.append(f"{name}: new since baseline (not compared)")
+            lines.append(f"{name}: missing from a baseline sample (not compared)")
         lines.append("")
-        if self.compared_pairs == 0:
-            lines.append("nothing comparable: no (file, stage) pair passed the filters")
-        elif self.regressions:
-            for file_diff in self.regressions:
-                guilty = ", ".join(file_diff.guilty_stages) or "total"
-                lines.append(
-                    f"REGRESSION {file_diff.suite}/{file_diff.name}: "
-                    f"stage(s) {guilty}"
-                )
+        if self.compared_stages == 0:
+            lines.append("nothing comparable: no stage sum passed the filters")
+        elif self.regressed:
+            lines.append(f"REGRESSION: stage(s) {', '.join(self.guilty_stages)}")
         else:
             floor = 1.0 + NOISE_FLOOR
             lines.append(
-                f"no regressions: {self.compared_pairs} stage comparisons, "
+                f"no regressions: {self.compared_stages} stage comparisons, "
                 f"all CIs below the ×{floor:.2f} floor"
             )
         return "\n".join(lines)
@@ -354,6 +331,13 @@ def _calibration(
     }
 
 
+def _in_every(rows_per_report: Sequence[Mapping[FileKey, object]]) -> Set[FileKey]:
+    """The files present in every report (none when there is no report)."""
+    if not rows_per_report:
+        return set()
+    return set.intersection(*(set(rows) for rows in rows_per_report))
+
+
 def compare_reports(
     base_reports: Sequence[Mapping[str, object]],
     current_reports: Sequence[Mapping[str, object]],
@@ -362,38 +346,30 @@ def compare_reports(
     base_fingerprint: Optional[Mapping[str, object]] = None,
     current_fingerprint: Optional[Mapping[str, object]] = None,
 ) -> DiffReport:
-    """Compare two sample sets of bench reports, file by file, stage by stage."""
-    base_rows = file_records(base_reports, suite=suite)
-    current_rows = file_records(current_reports, suite=suite)
-    shared = sorted(set(base_rows) & set(current_rows))
-    missing_in_current = sorted(
-        f"{s}/{n}" for s, n in set(base_rows) - set(current_rows)
-    )
-    missing_in_base = sorted(
-        f"{s}/{n}" for s, n in set(current_rows) - set(base_rows)
-    )
+    """Compare two sample sets of bench reports, stage by stage, each
+    stage's seconds summed over the files every sample measured."""
+    base_rows = [file_records([r], suite=suite) for r in base_reports]
+    current_rows = [file_records([r], suite=suite) for r in current_reports]
+    seen = set().union(*base_rows, *current_rows)
+    in_every_base = _in_every(base_rows)
+    in_every_current = _in_every(current_rows)
+    keys = sorted(in_every_base & in_every_current)
     cal = _calibration(base_reports, current_reports)
     factor = cal["factor"]
 
-    files: List[FileDiff] = []
-    for key in shared:
-        suite_name, name = key
-        base_samples = _stage_samples(base_rows[key])
-        current_samples = _stage_samples(current_rows[key])
-        deltas: Dict[str, StageDelta] = {}
+    deltas: Dict[str, StageDelta] = {}
+    if keys:
+        base_sums = _stage_sums(base_rows, keys)
+        current_sums = _stage_sums(current_rows, keys)
         for stage, _ in STAGE_FIELDS:
-            b, c = base_samples[stage], current_samples[stage]
+            b, c = base_sums[stage], current_sums[stage]
             if not b or not c:
                 continue
             base_med, cur_med = statistics.median(b), statistics.median(c)
             skipped = max(base_med, cur_med) < MIN_SECONDS
             ratio = cur_med / base_med if base_med > 0 else float("inf")
             ci_low, ci_high = bootstrap_ratio_ci(
-                b,
-                c,
-                resamples=BOOTSTRAP,
-                confidence=CONFIDENCE,
-                seed=_pair_seed(SEED, suite_name, name, stage),
+                b, c, resamples=BOOTSTRAP, confidence=CONFIDENCE, seed=SEED
             )
             cal_low, cal_high = ci_low / factor, ci_high / factor
             deltas[stage] = StageDelta(
@@ -409,13 +385,16 @@ def compare_reports(
                 base_samples=len(b),
                 current_samples=len(c),
             )
-        files.append(FileDiff(suite=suite_name, name=name, stages=deltas))
+
+    def names(files: Set[FileKey]) -> List[str]:
+        return [f"{s}/{n}" for s, n in sorted(files)]
 
     return DiffReport(
-        files=files,
+        stages=deltas,
+        files=names(set(keys)),
         calibration=cal,
-        missing_in_current=missing_in_current,
-        missing_in_base=missing_in_base,
+        missing_in_current=names(seen - in_every_current),
+        missing_in_base=names(seen - in_every_base),
         base_info={"fingerprint": dict(base_fingerprint or {}),
                    "samples": len(base_reports)},
         current_info={"fingerprint": dict(current_fingerprint or {}),

@@ -17,13 +17,6 @@ one place that owns the fan-out:
 Workers must be module-level callables (picklable); the harness exposes
 :func:`repro.harness.runner.run_file` for exactly this purpose.
 
-When the dispatching task runs under an ambient trace context
-(:mod:`repro.trace`), the fan-out re-establishes it inside each worker
-process via a picklable traceparent-carrying wrapper, so per-unit spans
-recorded in children share the request's ``trace_id``.  Without a
-context the wrapper is never constructed — tracing-off adds one
-contextvar read per ``parallel_map`` call.
-
 Trust: **untrusted-but-checked** — the executor only schedules untrusted
 stages; whatever it produces passes through the trusted reparse+check
 path downstream.
@@ -35,8 +28,6 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-from ..trace.spans import current_traceparent, parse_traceparent, use_context
 
 try:  # pragma: no cover - availability depends on the platform
     from concurrent.futures.process import BrokenProcessPool
@@ -81,25 +72,6 @@ def _serial_map(
     return [worker(item) for item in items]
 
 
-class _TracedWorker:
-    """A picklable wrapper restoring the trace context in pool workers.
-
-    The traceparent header string (not the context object) crosses the
-    pickling boundary; each call re-parses it and installs the resulting
-    context for the worker's dynamic extent, so ``current_trace_id()``
-    inside the worker matches the dispatching request — across fresh
-    worker processes and respawns alike.
-    """
-
-    def __init__(self, worker: Callable[[ItemT], ResultT], traceparent: str):
-        self.worker = worker
-        self.traceparent = traceparent
-
-    def __call__(self, item: ItemT) -> ResultT:
-        with use_context(parse_traceparent(self.traceparent)):
-            return self.worker(item)
-
-
 def parallel_map(
     worker: Callable[[ItemT], ResultT],
     items: Iterable[ItemT],
@@ -119,13 +91,9 @@ def parallel_map(
     workers = min(resolve_jobs(jobs), max(1, len(materialised)))
     if workers <= 1 or len(materialised) <= 1:
         return _serial_map(worker, materialised)
-    # Carry the ambient trace context (if any) into the pool: the serial
-    # path inherits it natively; child processes need the header.
-    header = current_traceparent()
-    pool_worker = _TracedWorker(worker, header) if header else worker
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(pool_worker, item) for item in materialised]
+            futures = [pool.submit(worker, item) for item in materialised]
             return [future.result() for future in futures]
     except _FALLBACK_ERRORS:
         return _serial_map(worker, materialised)

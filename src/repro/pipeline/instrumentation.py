@@ -90,9 +90,8 @@ class UnitRecord:
     #: for rebuilt units.
     tier: str = "fresh"
     #: ``perf_counter`` when the unit's work began.  Recorded as
-    #: ``now - seconds`` at record time, which is exact for serial unit
-    #: execution and an honest approximation under ``--unit-jobs``
-    #: fan-out (child processes report only their own duration).
+    #: ``now - seconds`` at record time; the stages record each unit as
+    #: soon as its work ends, so this is exact.
     started: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:

@@ -20,8 +20,7 @@ The paper's workflow is a fixed sequence::
   never cached, and only rejecting in strict mode (``ctx.analysis_strict``,
   used by the service's admission fast path),
 * ``translate``  — the instrumented Viper-to-Boogie translation
-  (**untrusted**, cacheable *per unit*; independent methods can fan out
-  through :mod:`repro.pipeline.executor` via ``unit_jobs``),
+  (**untrusted**, cacheable *per unit*),
 * ``generate``   — the tactic builds each method's certificate from hints
   (**untrusted**, cacheable *per unit*),
 * ``render``     — per-method certificate blocks (cached or fresh) are
@@ -77,7 +76,6 @@ from ..viper import (
 from ..viper.pretty import count_loc, count_nonblank
 from .cache import ArtifactCache, cache_key, UnitEntry
 from .diagnostics import wrap_exception, wrappable_exceptions
-from .executor import parallel_map
 from .instrumentation import PipelineInstrumentation
 from .units import extract_units, unit_keys as compute_unit_keys
 
@@ -105,10 +103,6 @@ class PipelineContext:
     #: collected but never block certification — the kernel's verdict,
     #: not the linter's, is the trusted one.
     analysis_strict: bool = False
-    #: Fan independent method units out across processes in the untrusted
-    #: translate/generate stages (None/1 = serial, 0 = one per CPU; see
-    #: :func:`repro.pipeline.executor.resolve_jobs`).
-    unit_jobs: Optional[int] = None
 
     # artifacts, in stage order
     program: object = None              # parse / desugar → viper Program
@@ -216,24 +210,6 @@ def _probe_units(ctx: PipelineContext) -> Dict[str, Optional[UnitEntry]]:
     return entries
 
 
-def _translate_unit_worker(item) -> Tuple[str, object, float]:
-    """Translate one method unit (module-level: must pickle for fan-out)."""
-    program, type_info, options, method_name = item
-    start = time.perf_counter()
-    translated = translate_method(
-        program, type_info, program.method(method_name), options
-    )
-    return (method_name, translated, time.perf_counter() - start)
-
-
-def _generate_unit_worker(item) -> Tuple[str, object, float]:
-    """Generate one method's certificate (module-level: must pickle)."""
-    translated = item
-    start = time.perf_counter()
-    certificate = generate_method_certificate(translated)
-    return (translated.method_name, certificate, time.perf_counter() - start)
-
-
 def _stage_translate(ctx: PipelineContext) -> None:
     """Translate method-by-method, serving unchanged units from the cache.
 
@@ -241,29 +217,23 @@ def _stage_translate(ctx: PipelineContext) -> None:
     interface digests of its transitive callees plus options — is present;
     a body-only edit of a callee therefore re-translates exactly the
     edited unit, while a spec edit re-keys the unit and all its callers.
-    Missing units fan out through the process-pool executor when
-    ``ctx.unit_jobs`` asks for parallelism.
     """
     inst = ctx.instrumentation
     entries = _probe_units(ctx)
     methods: Dict[str, object] = {}
-    missing = []
     for method in ctx.program.methods:
         entry = entries.get(method.name)
         if entry is not None and entry.translated is not None:
             methods[method.name] = entry.translated
             inst.record_unit(method.name, "translate", reused=True, tier="memory")
-        else:
-            missing.append(method.name)
-    if missing:
-        items = [(ctx.program, ctx.type_info, ctx.options, name) for name in missing]
-        for name, translated, seconds in parallel_map(
-            _translate_unit_worker, items, jobs=ctx.unit_jobs
-        ):
-            methods[name] = translated
-            inst.record_unit(name, "translate", seconds=seconds)
-            if ctx.cache is not None and ctx.unit_keys:
-                ctx.cache.put_unit(ctx.unit_keys[name], name, translated=translated)
+            continue
+        start = time.perf_counter()
+        translated = translate_method(ctx.program, ctx.type_info, method, ctx.options)
+        inst.record_unit(method.name, "translate", seconds=time.perf_counter() - start)
+        methods[method.name] = translated
+        if ctx.cache is not None and ctx.unit_keys:
+            ctx.cache.put_unit(ctx.unit_keys[method.name], method.name,
+                               translated=translated)
     ctx.translation = assemble_translation(
         ctx.program, ctx.type_info, methods, ctx.options
     )
@@ -275,22 +245,19 @@ def _stage_generate(ctx: PipelineContext) -> None:
     entries = _probe_units(ctx)
     result = ctx.translation
     certificates: Dict[str, object] = {}
-    missing = []
     for method in result.viper_program.methods:
         entry = entries.get(method.name)
         if entry is not None and entry.certificate is not None:
             certificates[method.name] = entry.certificate
             inst.record_unit(method.name, "generate", reused=True, tier="memory")
-        else:
-            missing.append(result.methods[method.name])
-    if missing:
-        for name, certificate, seconds in parallel_map(
-            _generate_unit_worker, missing, jobs=ctx.unit_jobs
-        ):
-            certificates[name] = certificate
-            inst.record_unit(name, "generate", seconds=seconds)
-            if ctx.cache is not None and ctx.unit_keys:
-                ctx.cache.put_unit(ctx.unit_keys[name], name, certificate=certificate)
+            continue
+        start = time.perf_counter()
+        certificate = generate_method_certificate(result.methods[method.name])
+        inst.record_unit(method.name, "generate", seconds=time.perf_counter() - start)
+        certificates[method.name] = certificate
+        if ctx.cache is not None and ctx.unit_keys:
+            ctx.cache.put_unit(ctx.unit_keys[method.name], method.name,
+                               certificate=certificate)
     ctx.certificate = ProgramCertificate(
         methods=tuple(
             certificates[m.name] for m in result.viper_program.methods
@@ -531,7 +498,6 @@ def make_context(
     wrap_errors: bool = False,
     analyze: bool = True,
     analysis_strict: bool = False,
-    unit_jobs: Optional[int] = None,
 ) -> PipelineContext:
     """Prepare a fresh context without running anything."""
     return PipelineContext(
@@ -542,7 +508,6 @@ def make_context(
         wrap_errors=wrap_errors,
         analyze=analyze,
         analysis_strict=analysis_strict,
-        unit_jobs=unit_jobs,
     )
 
 
@@ -556,7 +521,6 @@ def run_pipeline(
     wrap_errors: bool = False,
     analyze: bool = True,
     analysis_strict: bool = False,
-    unit_jobs: Optional[int] = None,
 ) -> PipelineContext:
     """Run the pipeline from the start through stage ``upto`` (inclusive).
 
@@ -572,7 +536,6 @@ def run_pipeline(
         wrap_errors=wrap_errors,
         analyze=analyze,
         analysis_strict=analysis_strict,
-        unit_jobs=unit_jobs,
     )
     for stage in STAGES[: last + 1]:
         run_stage(ctx, stage.name)

@@ -19,10 +19,8 @@ Timing notes:
   epoch seconds through its wall-clock anchor
   (:meth:`PipelineInstrumentation.to_unix`), so spans from different
   processes line up on one timeline.
-* Unit spans under ``--unit-jobs`` fan-out are laid out at
-  ``record time − duration`` (child processes report durations only);
-  serial runs are exact, parallel runs are an honest approximation and
-  their summed durations may exceed the parent stage's wall-clock.
+* Unit spans are laid out at ``record time − duration``: each unit is
+  recorded as soon as its work ends, so the layout is exact.
 """
 
 from __future__ import annotations

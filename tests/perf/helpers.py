@@ -55,34 +55,6 @@ def synth_file_row(
         total += seconds
     row["total_seconds"] = total
     row["cache_lookup_seconds"] = 0.0
-    stage_of = {
-        "translate_seconds": "translate",
-        "generate_seconds": "generate",
-        "check_seconds": "check",
-        "analyze_seconds": "analyze",
-    }
-    per_method = {}
-    for index in range(methods):
-        per_method[f"m{index}"] = {
-            "reused": False,
-            "tier": "fresh",
-            "stages": {
-                stage_of[field]: {
-                    "seconds": row[field] / methods,
-                    "reused": False,
-                    "tier": "fresh",
-                }
-                for field in ("translate_seconds", "generate_seconds")
-            },
-        }
-    row["unit_cache"] = {
-        "reused": 0,
-        "rebuilt": methods,
-        "reused_methods": [],
-        "rebuilt_methods": sorted(per_method),
-        "tiers": {"fresh": methods},
-        "methods": per_method,
-    }
     return row
 
 

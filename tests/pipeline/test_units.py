@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.frontend import TranslationOptions
+from repro.pipeline import stages
 from repro.pipeline import (
     ArtifactCache,
     body_digest,
@@ -267,3 +268,70 @@ class TestEndToEndIncrementality:
             )
             assert not record.cached and not record.skipped
         assert warm.report is not None and warm.report.ok
+
+
+#: CHAIN's methods in declaration order.
+CHAIN_METHODS = ["leaf", "mid", "top", "bystander"]
+
+
+@pytest.fixture
+def unit_calls(monkeypatch):
+    """The method names the translate and generate stages hand to the
+    frontend and the tactic, spied on through ``repro.pipeline.stages``'
+    module globals (the names perfbench's layer timers wrap)."""
+    calls = {"translate": [], "generate": []}
+    translate, generate = stages.translate_method, stages.generate_method_certificate
+
+    def translate_spy(program, type_info, method, options):
+        calls["translate"].append(method.name)
+        return translate(program, type_info, method, options)
+
+    def generate_spy(translated):
+        calls["generate"].append(translated.method_name)
+        return generate(translated)
+
+    monkeypatch.setattr(stages, "translate_method", translate_spy)
+    monkeypatch.setattr(stages, "generate_method_certificate", generate_spy)
+    return calls
+
+
+class TestUnitLoops:
+    """translate and generate build each missing unit in turn, in
+    declaration order, through the module globals."""
+
+    def test_each_method_goes_through_the_module_globals_once(self, unit_calls):
+        ctx = run_pipeline(CHAIN)
+        assert ctx.report is not None and ctx.report.ok
+        assert unit_calls == {"translate": CHAIN_METHODS, "generate": CHAIN_METHODS}
+
+    def test_reused_units_skip_the_module_globals(self, unit_calls):
+        cache = ArtifactCache()
+        run_pipeline(CHAIN, cache=cache)
+        unit_calls["translate"].clear()
+        unit_calls["generate"].clear()
+        run_pipeline(CHAIN_BODY_EDIT, cache=cache)
+        assert unit_calls == {"translate": ["leaf"], "generate": ["leaf"]}
+
+    def test_unit_records_come_in_declaration_order(self):
+        cache = ArtifactCache()
+        run_pipeline(CHAIN, cache=cache)
+        warm = run_pipeline(CHAIN_BODY_EDIT, cache=cache).instrumentation
+        for stage in ("translate", "generate"):
+            assert [
+                (u.method, u.reused) for u in warm.unit_records if u.stage == stage
+            ] == [("leaf", False), ("mid", True), ("top", True), ("bystander", True)]
+
+    def test_fresh_units_tile_their_stage_without_overlap(self):
+        # Each unit is recorded as its work ends, so its start is exact:
+        # the units follow one another inside their stage's wall-clock.
+        inst = run_pipeline(CHAIN).instrumentation
+        eps = 1e-6
+        for stage in ("translate", "generate"):
+            (record,) = [r for r in inst.records if r.stage == stage]
+            stage_end = record.started + record.seconds + record.cache_lookup_seconds
+            previous_end = record.started
+            for unit in (u for u in inst.unit_records if u.stage == stage):
+                assert unit.seconds > 0
+                assert unit.started >= previous_end - eps
+                previous_end = unit.started + unit.seconds
+            assert previous_end <= stage_end + eps

@@ -72,13 +72,15 @@ class OneShotServer:
         while len(rest) < length:
             rest += conn.recv(65536)
         body = json.dumps({"ok": True, "served": self.requests_served}).encode()
+        # Counted before the answer leaves: once the client has read it,
+        # the test may assert on the count before this thread runs again.
+        self.requests_served += 1
         conn.sendall(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n"
             b"\r\n" + body
         )
-        self.requests_served += 1
         return True
 
     def close(self) -> None:

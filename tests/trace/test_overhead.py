@@ -4,8 +4,7 @@ Two guards, per the design contract in ``docs/OBSERVABILITY.md``:
 
 * **Tracing off is structurally free** — with no ambient context and no
   trace store, no span object is ever constructed: the worker returns no
-  trace keys, and the executor ships the bare worker callable (no
-  wrapper, no header pickling).
+  trace keys.
 * **Tracing on is cheap** — spans are *derived* from instrumentation
   records the pipeline collects anyway, so the marginal cost is one
   post-hoc derive + export pass.  That pass must stay under 3% of the
@@ -19,7 +18,6 @@ import time
 
 from repro.harness import suite_files
 from repro.pipeline import run_pipeline
-from repro.pipeline.executor import _TracedWorker, parallel_map
 from repro.service import worker
 from repro.trace.derive import spans_from_instrumentation
 from repro.trace.export import chrome_trace
@@ -40,15 +38,6 @@ class TestTracingOffIsFree:
         assert response["ok"]
         assert "trace" not in response
         assert "trace_id" not in response
-
-    def test_executor_ships_the_bare_worker(self, monkeypatch):
-        # Without a context there must be nothing to wrap: any
-        # _TracedWorker construction on this path is a regression.
-        def forbid(*args, **kwargs):
-            raise AssertionError("tracing-off path constructed a _TracedWorker")
-
-        monkeypatch.setattr(_TracedWorker, "__init__", forbid)
-        assert parallel_map(len, ["ab", "abc"], jobs=2) == [2, 3]
 
 
 class TestTracingOnIsCheap:

@@ -1,19 +1,17 @@
-"""Trace-context propagation across the real process-pool boundary.
+"""The executor and the ambient trace context.
 
-The ambient context is a contextvar — it does not survive pickling on
-its own.  :func:`repro.pipeline.executor.parallel_map` ships a
-traceparent header into each worker via a picklable wrapper; these tests
-run genuine ``ProcessPoolExecutor`` children (no mocks) and assert the
-trace id observed inside them.
+The ambient context is a contextvar: the serial path runs the worker in
+the dispatching context, and a process pool dispatched without a context
+sees none.  These tests run genuine ``ProcessPoolExecutor`` children (no
+mocks) and assert the trace id observed inside them.
 """
 
 from __future__ import annotations
 
-from repro.pipeline.executor import _TracedWorker, parallel_map
+from repro.pipeline.executor import parallel_map
 from repro.trace.spans import (
     SpanContext,
     current_trace_id,
-    format_traceparent,
     new_span_id,
     new_trace_id,
     use_context,
@@ -30,23 +28,6 @@ def _context():
 
 
 class TestProcessPoolPropagation:
-    def test_trace_id_reaches_pool_workers(self):
-        ctx = _context()
-        with use_context(ctx):
-            observed = parallel_map(_observed_trace, [1, 2, 3, 4], jobs=2)
-        assert observed == [ctx.trace_id] * 4
-
-    def test_fresh_pool_gets_fresh_context(self):
-        # Each parallel_map spawns fresh worker processes; a second run
-        # under a different context must not see the first one's id.
-        first, second = _context(), _context()
-        with use_context(first):
-            a = parallel_map(_observed_trace, [1, 2], jobs=2)
-        with use_context(second):
-            b = parallel_map(_observed_trace, [1, 2], jobs=2)
-        assert a == [first.trace_id] * 2
-        assert b == [second.trace_id] * 2
-
     def test_no_context_means_no_propagation(self):
         assert current_trace_id() is None
         observed = parallel_map(_observed_trace, [1, 2], jobs=2)
@@ -57,23 +38,3 @@ class TestProcessPoolPropagation:
         with use_context(ctx):
             observed = parallel_map(_observed_trace, [1, 2], jobs=1)
         assert observed == [ctx.trace_id] * 2
-
-
-class TestTracedWorker:
-    def test_wrapper_survives_pickle_round_trip(self):
-        import pickle
-
-        ctx = _context()
-        wrapper = _TracedWorker(_observed_trace, format_traceparent(ctx))
-        restored = pickle.loads(pickle.dumps(wrapper))
-        assert restored(0) == ctx.trace_id
-
-    def test_wrapper_restores_context_only_for_the_call(self):
-        ctx = _context()
-        wrapper = _TracedWorker(_observed_trace, format_traceparent(ctx))
-        assert wrapper(0) == ctx.trace_id
-        assert current_trace_id() is None
-
-    def test_malformed_header_degrades_to_untraced(self):
-        wrapper = _TracedWorker(_observed_trace, "not-a-traceparent")
-        assert wrapper(0) is None
